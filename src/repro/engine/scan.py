@@ -38,6 +38,7 @@ from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
+from .blas import limit_blas_threads
 from .cache import CacheLockTimeout, ScanCache
 from .feature_store import FeatureStore
 
@@ -156,8 +157,12 @@ def extract_feature_rows(
 
     Returns ``(rows, errors)`` keyed by source index.  ``workers`` defaults
     to ``min(4, cpu_count)``; pass ``1`` (or fewer sources than 2) for the
-    serial path.  Any pool-level failure falls back to serial extraction so
-    a restricted environment degrades gracefully rather than crashing.
+    serial path.  Pool workers run with one BLAS thread each
+    (:func:`repro.engine.blas.limit_blas_threads`), so ``workers`` is the
+    whole parallelism.  Any pool-level failure falls back to serial
+    extraction so a restricted environment degrades gracefully rather than
+    crashing; the fallback is logged and counted as
+    ``repro_engine_degraded_total{tier="pool"}``.
 
     With a :class:`repro.engine.feature_store.FeatureStore` attached, the
     store is consulted first — features are a pure function of source
@@ -179,9 +184,17 @@ def extract_feature_rows(
     results: List[Tuple[int, Optional[Tuple], Optional[str]]] = []
     if workers > 1 and len(tasks) > 1:
         try:
-            with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+            with multiprocessing.Pool(
+                processes=min(workers, len(tasks)), initializer=limit_blas_threads
+            ) as pool:
                 results = pool.map(_extract_worker, tasks)
-        except (OSError, RuntimeError):
+        except (OSError, RuntimeError) as exc:
+            note_degraded("pool")
+            logger.warning(
+                "extraction pool failed (%s: %s); extracting serially",
+                type(exc).__name__,
+                exc,
+            )
             results = []
     if not results:
         results = [_extract_worker(task) for task in tasks]

@@ -48,6 +48,7 @@ from ..faults import SHARD_DEADLINE_S, SHARD_RETRY_POLICY, failpoint
 from ..features.image import DEFAULT_IMAGE_SIZE
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
+from .blas import limit_blas_threads
 from .cache import CacheLockTimeout, ScanCache, atomic_write_json
 from .feature_store import FeatureStore
 from .scan import (
@@ -132,9 +133,12 @@ def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) ->
     handle on the shared model-independent feature store: the store's
     ``flock`` + read-merge-write flush discipline makes any number of
     concurrent writers safe, and sharing it means a shard full of
-    already-seen designs skips extraction inside the worker too.
+    already-seen designs skips extraction inside the worker too.  Each
+    worker runs with one BLAS thread
+    (:func:`repro.engine.blas.limit_blas_threads`).
     """
     global _WORKER_ENGINE
+    limit_blas_threads()
     kind, spec, fingerprint, image_size, feature_store_dir, backend = payload
     quant_state = None
     if kind == "artifact":

@@ -28,6 +28,10 @@ from .graph_builder import build_dataflow_graph
 _DEGREE_BINS = 6
 #: Number of leading Laplacian eigenvalues included in the embedding.
 _SPECTRAL_COMPONENTS = 6
+#: Spectra of at least this many rows are computed on one BLAS thread (see
+#: :func:`_leading_eigenvalues`).  OpenBLAS keeps ``eigvalsh`` on one
+#: thread by itself below about 200 rows; this bound leaves a wide margin.
+_ONE_BLAS_THREAD_ROWS = 64
 
 
 def _degree_histogram(degrees: List[int]) -> np.ndarray:
@@ -44,16 +48,34 @@ def _degree_histogram(degrees: List[int]) -> np.ndarray:
     return bins / total
 
 
-def _spectral_summary(undirected: nx.Graph) -> np.ndarray:
-    """Leading eigenvalues of the normalised Laplacian of the undirected view."""
-    if undirected.number_of_nodes() < 2:
-        return np.zeros(_SPECTRAL_COMPONENTS)
-    laplacian = nx.normalized_laplacian_matrix(undirected).toarray()
+def _leading_eigenvalues(laplacian: np.ndarray) -> np.ndarray:
+    """The :data:`_SPECTRAL_COMPONENTS` largest eigenvalues, zero-padded.
+
+    On large matrices OpenBLAS splits the sums of ``eigvalsh``'s
+    tridiagonal reduction across its threads, so the last bits would depend
+    on the process's BLAS thread count: on the core count, and on whether a
+    pool worker (one thread, see :mod:`repro.engine.blas`) or the calling
+    process extracted the design.  Before a spectrum of
+    :data:`_ONE_BLAS_THREAD_ROWS` rows or more, the process is therefore set
+    to one BLAS thread for good, which makes every path compute the same
+    bits.
+    """
+    if laplacian.shape[0] >= _ONE_BLAS_THREAD_ROWS:
+        from ..engine.blas import limit_blas_threads
+
+        limit_blas_threads()
     eigenvalues = np.sort(np.linalg.eigvalsh(laplacian))[::-1]
     summary = np.zeros(_SPECTRAL_COMPONENTS)
     count = min(_SPECTRAL_COMPONENTS, eigenvalues.shape[0])
     summary[:count] = eigenvalues[:count]
     return summary
+
+
+def _spectral_summary(undirected: nx.Graph) -> np.ndarray:
+    """Leading eigenvalues of the normalised Laplacian of the undirected view."""
+    if undirected.number_of_nodes() < 2:
+        return np.zeros(_SPECTRAL_COMPONENTS)
+    return _leading_eigenvalues(nx.normalized_laplacian_matrix(undirected).toarray())
 
 
 def _longest_path_estimate(graph: nx.DiGraph) -> float:
@@ -152,55 +174,55 @@ def _extract_graph_features_reference(graph: nx.DiGraph) -> Dict[str, float]:
 def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
     """Structural feature dictionary for one data-flow graph.
 
-    Vectorized implementation: degree statistics, clustering, component
-    counts and the normalised-Laplacian spectrum are computed from one dense
-    adjacency matrix (scipy ``csgraph`` for the component counts) instead of
-    per-node networkx traversals.  Produces bit-identical values to
-    :func:`_extract_graph_features_reference` — edge weights are integer
-    counts, so every intermediate sum is exact in float64 and the remaining
-    float operations replicate the reference's order.
+    Works from edge arrays taken in one pass over ``graph.edges``: bincounts
+    give the degree profile, isolated nodes, self-loops and control roles;
+    union-find and an iterative Tarjan count components, and an integer DP
+    over the SCC condensation gives the logic depth; an exact integer
+    bitset kernel counts triangles (:func:`_triangle_paths`).  The only
+    ``n x n`` arrays are the undirected weight matrix and its normalised
+    Laplacian, which ``eigvalsh`` needs (:func:`_laplacian_spectrum`).
+    Produces bit-identical values to :func:`_extract_graph_features_reference`
+    — edge weights are integer counts, so every intermediate sum is exact in
+    float64 and the remaining float operations replicate the reference's
+    order.
     """
     n_nodes = graph.number_of_nodes()
     if n_nodes == 0:
         return _extract_graph_features_reference(graph)
 
-    n_edges = graph.number_of_edges()
-    # One pass over the edge list fills the dense weighted adjacency (node
-    # order matches ``graph.nodes``, like ``nx.to_numpy_array``) and counts
-    # control edges.  Edge weights are use counts (always >= 1), so the
-    # weight matrix also encodes edge existence.
+    # Edge arrays in ``graph.edges`` order: by source in node order, which
+    # is also the order ``to_undirected`` merges reciprocal edges in.
     index = {node: i for i, node in enumerate(graph.nodes)}
-    weights = np.zeros((n_nodes, n_nodes))
-    control = np.zeros((n_nodes, n_nodes), dtype=bool)
+    source_list: List[int] = []
+    target_list: List[int] = []
+    weight_list: List[float] = []
+    control_list: List[bool] = []
     for source, target, data in graph.edges(data=True):
-        weights[index[source], index[target]] = data.get("weight", 1.0)
-        if data.get("kind") == "control":
-            control[index[source], index[target]] = True
-    exist = weights > 0
+        source_list.append(index[source])
+        target_list.append(index[target])
+        weight_list.append(data.get("weight", 1.0))
+        control_list.append(data.get("kind") == "control")
+    n_edges = len(source_list)
+    sources = np.array(source_list, dtype=np.intp)
+    targets = np.array(target_list, dtype=np.intp)
+    control = np.array(control_list, dtype=bool)
     control_edges = int(control.sum())
 
-    in_degrees = exist.sum(axis=0)
-    out_degrees = exist.sum(axis=1)
+    in_degrees = np.bincount(targets, minlength=n_nodes)
+    out_degrees = np.bincount(sources, minlength=n_nodes)
     node_data = [data for _, data in graph.nodes(data=True)]
     roles = [data.get("role", "implicit") for data in node_data]
     widths = [data.get("width", 1) or 1 for data in node_data]
     sequential = sum(1 for data in node_data if data.get("sequential"))
 
-    und_exist = exist | exist.T
-    isolated = int((und_exist.sum(axis=1) == 0).sum())
-    edge_sources, edge_targets = np.nonzero(exist)
-    edge_list = list(zip(edge_sources.tolist(), edge_targets.tolist()))
+    edge_list = list(zip(source_list, target_list))
     n_weak = _count_weak_components(n_nodes, edge_list)
     n_strong, scc_labels = _strongly_connected_components(n_nodes, edge_list)
 
     # Average clustering, replicating networkx's per-node arithmetic: the
     # triangle counts and degrees are integers, so only the final divisions
     # and the (node-ordered) sum touch floats.
-    simple = und_exist.copy()
-    np.fill_diagonal(simple, False)
-    adjacency = simple.astype(np.int64)
-    triangle_paths = (adjacency @ adjacency * adjacency).sum(axis=1)
-    simple_degrees = adjacency.sum(axis=1)
+    triangle_paths, simple_degrees = _triangle_paths(n_nodes, sources, targets)
     coefficients = np.zeros(n_nodes)
     positive = triangle_paths > 0
     coefficients[positive] = triangle_paths[positive] / (
@@ -212,7 +234,7 @@ def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
 
     # Control-role statistics (see the reference implementation for intent),
     # as comparisons on the per-node out-edge and control-out-edge counts.
-    control_out_counts = control.sum(axis=1)
+    control_out_counts = np.bincount(sources[control], minlength=n_nodes)
     has_control_out = control_out_counts > 0
     n_control_sources = int(has_control_out.sum())
     control_only_mask = has_control_out & (control_out_counts == out_degrees)
@@ -222,21 +244,20 @@ def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
     features: Dict[str, float] = {
         "n_nodes": float(n_nodes),
         "n_edges": float(n_edges),
-        "density": nx.density(graph) if n_nodes > 1 else 0.0,
+        # nx.density of a DiGraph, without its O(n) edge recount.
+        "density": n_edges / (n_nodes * (n_nodes - 1)) if n_nodes > 1 else 0.0,
         "avg_in_degree": float(np.mean(in_degrees)),
         "avg_out_degree": float(np.mean(out_degrees)),
         "max_in_degree": float(in_degrees.max()),
         "max_out_degree": float(out_degrees.max()),
         "std_in_degree": float(np.std(in_degrees)),
         "high_fanin_nodes": float((in_degrees >= 5).sum()),
-        "isolated_nodes": float(isolated),
+        "isolated_nodes": float(((in_degrees + out_degrees) == 0).sum()),
         "n_weakly_connected": float(n_weak),
         "n_strongly_connected": float(n_strong),
         "avg_clustering": avg_clustering,
-        "longest_path": _longest_path_from_sccs(
-            edge_sources, edge_targets, scc_labels, n_strong
-        ),
-        "n_self_loops": float(np.diagonal(exist).sum()),
+        "longest_path": _longest_path_from_sccs(sources, targets, scc_labels, n_strong),
+        "n_self_loops": float((sources == targets).sum()),
         "n_sequential_nodes": float(sequential),
         "sequential_fraction": float(sequential) / max(n_nodes, 1),
         "control_edge_fraction": float(control_edges) / max(n_edges, 1),
@@ -255,22 +276,93 @@ def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
         "max_signal_width": float(max(widths)) if widths else 0.0,
         "avg_signal_width": float(np.mean(widths)) if widths else 0.0,
     }
-    for i, value in enumerate(_degree_histogram([int(d) for d in in_degrees])):
+    for i, value in enumerate(_degree_histogram(in_degrees.tolist())):
         features[f"in_degree_hist_{i}"] = float(value)
-    for i, value in enumerate(_degree_histogram([int(d) for d in out_degrees])):
+    for i, value in enumerate(_degree_histogram(out_degrees.tolist())):
         features[f"out_degree_hist_{i}"] = float(value)
-    for i, value in enumerate(
-        _spectral_summary_dense(weights, exist, n_nodes)
-    ):
+    weights = np.array(weight_list, dtype=np.float64)
+    for i, value in enumerate(_laplacian_spectrum(n_nodes, sources, targets, weights)):
         features[f"laplacian_eig_{i}"] = float(value)
     return features
+
+
+def _triangle_paths(
+    n_nodes: int, sources: np.ndarray, targets: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(paths, degrees)`` of the undirected simple view of the edges.
+
+    ``degrees[i]`` is node ``i``'s neighbour count with self-loops dropped
+    and reciprocal edges merged; ``paths[i]`` is the number of ordered
+    neighbour pairs of ``i`` that are themselves adjacent — twice its
+    triangles, the numerator of networkx's clustering coefficient.
+
+    Each node's neighbour set is one packed row of bits (``n`` rows of
+    ``ceil(n / 8)`` bytes), and the shared neighbours of an edge's two ends
+    are one ``AND`` plus ``np.bitwise_count``.  The count is exact integer
+    work over ``E * n / 8`` bytes; the dense ``A @ A * A`` it replaces is an
+    integer matrix product, which numpy cannot hand to BLAS and runs as an
+    ``O(n^3)`` loop.
+    """
+    loops = sources == targets
+    low = np.minimum(sources[~loops], targets[~loops])
+    high = np.maximum(sources[~loops], targets[~loops])
+    low, high = np.divmod(np.unique(low * n_nodes + high), n_nodes)
+    degrees = np.bincount(low, minlength=n_nodes) + np.bincount(high, minlength=n_nodes)
+    width = (n_nodes + 7) // 8
+    rows = np.zeros(n_nodes * width, dtype=np.uint8)
+    for row, column in ((low, high), (high, low)):
+        bits = np.left_shift(1, column & 7).astype(np.uint8)
+        np.bitwise_or.at(rows, row * width + (column >> 3), bits)
+    rows = rows.reshape(n_nodes, width)
+    shared = np.bitwise_count(rows[low] & rows[high]).sum(axis=1)
+    paths = np.bincount(low, weights=shared, minlength=n_nodes) + np.bincount(
+        high, weights=shared, minlength=n_nodes
+    )
+    return paths, degrees
+
+
+def _laplacian_spectrum(
+    n_nodes: int, sources: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``_spectral_summary(graph.to_undirected())`` built from edge arrays.
+
+    The undirected weight matrix follows ``DiGraph.to_undirected``'s merge
+    rule: it visits edges by source in node order and the last visit wins,
+    so of two reciprocal edges the one whose source comes later takes the
+    pair.  The normalised Laplacian repeats the operation order of
+    ``nx.normalized_laplacian_matrix``, so the eigenvalues match the
+    reference bit for bit.  Both ``n x n`` arrays are built in place, and
+    ``eigvalsh`` on the Laplacian is the one ``O(n^3)`` step of graph
+    features.
+    """
+    if n_nodes < 2:
+        return np.zeros(_SPECTRAL_COMPONENTS)
+    undirected = np.zeros((n_nodes, n_nodes))
+    for mask in (sources < targets, sources > targets):
+        u, v, w = sources[mask], targets[mask], weights[mask]
+        undirected[u, v] = w
+        undirected[v, u] = w
+    loops = sources == targets
+    undirected[sources[loops], sources[loops]] = weights[loops]
+    diagonal = undirected.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(diagonal)
+    inv_sqrt[np.isinf(inv_sqrt)] = 0.0
+    laplacian = np.diag(diagonal)
+    laplacian -= undirected
+    del undirected
+    laplacian *= inv_sqrt[None, :]
+    laplacian *= inv_sqrt[:, None]
+    return _leading_eigenvalues(laplacian)
 
 
 def _count_weak_components(n_nodes: int, edges: List[tuple]) -> int:
     """Number of weakly connected components, via union-find.
 
-    The data-flow graphs are tiny (tens of nodes), where a plain union-find
-    beats the scipy ``csgraph`` call's validation overhead several-fold.
+    Near-linear in the edge count with path compression, so it scales to
+    the thousand-node graphs of wide designs; on the small graphs of most
+    designs it also beats the scipy ``csgraph`` call, whose input
+    validation alone costs more than the whole union-find.
     """
     parent = list(range(n_nodes))
 
@@ -384,36 +476,6 @@ def _longest_path_from_sccs(
             if indegree[v] == 0:
                 ready.append(v)
     return float(longest.max())
-
-
-def _spectral_summary_dense(
-    weights: np.ndarray, exist: np.ndarray, n_nodes: int
-) -> np.ndarray:
-    """Dense replication of ``_spectral_summary(graph.to_undirected())``.
-
-    Rebuilds the undirected weighted adjacency exactly as
-    ``DiGraph.to_undirected`` merges reciprocal edges (the edge whose source
-    comes later in node order wins), then forms the normalised Laplacian
-    with the same operation order as ``nx.normalized_laplacian_matrix`` so
-    the eigenvalues match the reference bit for bit.
-    """
-    if n_nodes < 2:
-        return np.zeros(_SPECTRAL_COMPONENTS)
-    merged = np.where(exist.T, weights.T, weights)
-    upper = np.triu(merged, 1)
-    undirected = upper + upper.T
-    np.fill_diagonal(undirected, np.diagonal(weights))
-    diagonal = undirected.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        inv_sqrt = 1.0 / np.sqrt(diagonal)
-    inv_sqrt[np.isinf(inv_sqrt)] = 0.0
-    laplacian = np.diag(diagonal) - undirected
-    normalized = (laplacian * inv_sqrt[None, :]) * inv_sqrt[:, None]
-    eigenvalues = np.sort(np.linalg.eigvalsh(normalized))[::-1]
-    summary = np.zeros(_SPECTRAL_COMPONENTS)
-    count = min(_SPECTRAL_COMPONENTS, eigenvalues.shape[0])
-    summary[:count] = eigenvalues[:count]
-    return summary
 
 
 #: Canonical feature ordering for the graph modality, derived from a probe

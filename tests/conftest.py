@@ -101,6 +101,52 @@ endmodule
 """
 
 
+def _wide_design(name: str, n_wires: int, n_regs: int, rng: np.random.Generator) -> str:
+    """A wide design in the shape of the benchmark's ``scan_large`` ladder.
+
+    Eight 8-bit inputs; ``n_wires`` wires each combine two or three earlier
+    signals, mostly recent ones; ``n_regs`` registers sample earlier wires
+    under reset and enable; the output XORs the last register and wire.
+    The dataflow graph has ``n_wires + n_regs + 12`` nodes.
+    """
+    inputs = [f"a{i}" for i in range(8)]
+    lines = [f"module {name} (clk, rst, en, {', '.join(inputs)}, y);"]
+    lines += ["  input clk;", "  input rst;", "  input en;"]
+    lines += [f"  input [7:0] {a};" for a in inputs]
+    lines.append("  output [7:0] y;")
+    signals = list(inputs)
+    body = []
+    for i in range(n_wires):
+        picks = []
+        for _ in range(2 if rng.random() < 0.6 else 3):
+            low = max(0, len(signals) - 24) if rng.random() < 0.8 else 0
+            picks.append(signals[int(rng.integers(low, len(signals)))])
+        expr = picks[0]
+        for operand in picks[1:]:
+            expr = f"({expr} {'^&|+'[int(rng.integers(0, 4))]} {operand})"
+        lines.append(f"  wire [7:0] w{i};")
+        body.append(f"  assign w{i} = {expr};")
+        signals.append(f"w{i}")
+    regs = [f"r{i}" for i in range(n_regs)]
+    lines += [f"  reg [7:0] {r};" for r in regs]
+    body += ["  always @(posedge clk)", "    begin"]
+    for r in regs:
+        src = signals[int(rng.integers(len(inputs), len(signals)))]
+        body.append(f"      if (rst) {r} <= 8'd0; else if (en) {r} <= {src};")
+    body += ["    end", f"  assign y = {regs[-1]} ^ {signals[-1]};"]
+    return "\n".join(lines + body + ["endmodule", ""])
+
+
+@pytest.fixture(scope="session")
+def wide_designs():
+    """``(name, source)`` of two wide designs, ~300 and ~800 dataflow nodes."""
+    rng = np.random.default_rng(5)
+    return [
+        (f"wide_{n}", _wide_design(f"wide_{n}", n - n // 20 - 12, n // 20, rng))
+        for n in (300, 800)
+    ]
+
+
 @pytest.fixture(scope="session")
 def binary_classification_data():
     """A simple separable binary dataset for classifier tests."""

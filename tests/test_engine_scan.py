@@ -63,6 +63,30 @@ class TestBatchedEqualsSequential:
         assert np.array_equal(observed, expected)
 
 
+class TestPoolFallback:
+    def test_lost_pool_is_counted_and_extracts_serially(
+        self, scan_batch, monkeypatch, caplog
+    ):
+        import multiprocessing
+
+        from repro.engine.scan import extract_feature_rows
+        from repro.obs.metrics import REGISTRY
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        serial, _ = extract_feature_rows(scan_batch, workers=1)
+        before = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        rows, errors = extract_feature_rows(scan_batch, workers=2)
+        assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == before + 1
+        assert "extraction pool failed" in caplog.text
+        assert not errors and sorted(rows) == sorted(serial)
+        for index, row in serial.items():
+            for expected, got in zip(row, rows[index]):
+                assert np.array_equal(got, expected)
+
+
 class TestScanCache:
     def test_second_scan_hits(self, detector, scan_batch, tmp_path):
         cache = ScanCache(tmp_path, "fp-test")

@@ -163,32 +163,109 @@ class TestAdjacencyImage:
         )
 
 
-class TestVectorizedGraphFeaturesEquivalence:
-    """The dense fast path must be bit-identical to the networkx reference."""
+def _odd_graphs():
+    """Hand-built graphs for corner cases the HDL generators rarely produce."""
+    self_loop = nx.DiGraph()
+    self_loop.add_edge("q", "q", kind="data", weight=2)
+    self_loop.add_edge("q", "d", kind="control", weight=1)
+    self_loop.add_edge("d", "e", kind="data", weight=3)
+    self_loop.add_edge("e", "q", kind="data", weight=1)
 
-    def test_bit_identical_on_generated_suite(self) -> None:
+    # Reciprocal pairs with different weights, one added backward edge
+    # first: ``to_undirected`` keeps the edge whose source comes later in
+    # node order, whatever the insertion order.
+    reciprocal = nx.DiGraph()
+    reciprocal.add_nodes_from(["x", "y", "z", "w"], role="wire", width=4)
+    reciprocal.add_edge("y", "x", kind="data", weight=3)
+    reciprocal.add_edge("x", "y", kind="control", weight=7)
+    reciprocal.add_edge("x", "z", kind="data", weight=2)
+    reciprocal.add_edge("z", "x", kind="control", weight=5)
+    reciprocal.add_edge("y", "z", kind="data", weight=1)
+    reciprocal.add_edge("w", "z", kind="data", weight=4)
+
+    # Instance pseudo-node wired both ways to each connected signal.
+    ports = nx.DiGraph()
+    ports.add_node("sub.u1", role="instance", width=0)
+    for signal in ("clk", "a", "b"):
+        ports.add_node(signal, role="input", width=1)
+        ports.add_edge(signal, "sub.u1", kind="port", weight=1)
+        ports.add_edge("sub.u1", signal, kind="port", weight=1)
+    ports.add_edge("a", "b", kind="data", weight=2)
+
+    isolated = nx.DiGraph()
+    isolated.add_nodes_from(["i0", "i1"], role="wire", width=2)
+    isolated.add_edge("a", "b", kind="control", weight=1)
+    isolated.add_node("i2", role="reg", sequential=True)
+
+    edgeless = nx.DiGraph()
+    edgeless.add_nodes_from(["p", "q", "r"])
+
+    single = nx.DiGraph()
+    single.add_node("only", role="input", width=4)
+
+    single_loop = nx.DiGraph()
+    single_loop.add_edge("s", "s", kind="data", weight=3)
+
+    return {
+        "self_loop": self_loop,
+        "reciprocal": reciprocal,
+        "ports": ports,
+        "isolated": isolated,
+        "edgeless": edgeless,
+        "single": single,
+        "single_loop": single_loop,
+        "empty": nx.DiGraph(),
+    }
+
+
+class TestVectorizedGraphFeaturesEquivalence:
+    """The edge-array fast path must be bit-identical to the networkx reference."""
+
+    @staticmethod
+    def _assert_bit_identical(graph) -> None:
         from repro.features.graph_features import (
             _extract_graph_features_reference,
             extract_graph_features,
         )
+
+        fast = extract_graph_features(graph)
+        reference = _extract_graph_features_reference(graph)
+        assert set(fast) == set(reference)
+        for key in reference:
+            assert fast[key] == reference[key], key
+
+    def test_bit_identical_on_wide_designs(self, wide_designs) -> None:
+        for _, source in wide_designs:
+            self._assert_bit_identical(build_dataflow_graph(source))
+
+    @pytest.mark.parametrize("name", sorted(_odd_graphs()))
+    def test_bit_identical_on_odd_graphs(self, name) -> None:
+        self._assert_bit_identical(_odd_graphs()[name])
+
+    @pytest.mark.parametrize("size", [8, 16, 64])
+    def test_adjacency_image_matches_dense_reference(self, size, wide_designs) -> None:
+        from repro.features.image import _adjacency_image_reference
+        from repro.trojan import SuiteConfig, TrojanDataset
+
+        suite = TrojanDataset.generate(
+            SuiteConfig(n_trojan_free=6, n_trojan_infected=3, seed=29)
+        )
+        graphs = [build_dataflow_graph(b.source) for b in suite.benchmarks]
+        graphs += [build_dataflow_graph(source) for _, source in wide_designs]
+        graphs += list(_odd_graphs().values())
+        for graph in graphs:
+            np.testing.assert_array_equal(
+                adjacency_image(graph, size=size), _adjacency_image_reference(graph, size=size)
+            )
+
+    def test_bit_identical_on_generated_suite(self) -> None:
         from repro.trojan import SuiteConfig, TrojanDataset
 
         suite = TrojanDataset.generate(
             SuiteConfig(n_trojan_free=6, n_trojan_infected=3, seed=29)
         )
         for benchmark in suite.benchmarks:
-            graph = build_dataflow_graph(benchmark.source)
-            fast = extract_graph_features(graph)
-            reference = _extract_graph_features_reference(graph)
-            assert set(fast) == set(reference)
-            for key in reference:
-                assert fast[key] == reference[key], key
+            self._assert_bit_identical(build_dataflow_graph(benchmark.source))
 
     def test_bit_identical_on_fixture(self, sample_verilog) -> None:
-        from repro.features.graph_features import (
-            _extract_graph_features_reference,
-            extract_graph_features,
-        )
-
-        graph = build_dataflow_graph(sample_verilog)
-        assert extract_graph_features(graph) == _extract_graph_features_reference(graph)
+        self._assert_bit_identical(build_dataflow_graph(sample_verilog))

@@ -7,7 +7,7 @@ Times the vectorized ``sliding_window_view`` kernels in
 images (``DEFAULT_IMAGE_SIZE``), 3x3 kernels, the (16, 32) channel plan and
 the batch size 16 of ``ClassifierConfig``.  Also times the full paper 1-D
 CNN stack at scan batch size under each compute backend
-(``forward_f64`` / ``forward_fused_f32`` / ``forward_int8``, see
+(``forward_f64`` / ``forward_fused_f32``, see
 :mod:`repro.nn.backend`).  Writes the results — including best-vs-best
 speedup factors — to ``BENCH_nn.json`` at the repository root.
 
@@ -244,8 +244,8 @@ def main() -> int:
 
     # -- Full-stack inference: the compute backends --------------------------
     # The whole paper 1-D CNN at scan batch size, float64 golden forward vs
-    # the fused float32 plan vs the int8 dynamic-quantized plan.  Plans are
-    # compiled outside the timed region (engines compile once per model).
+    # the fused float32 plan.  The plan is compiled outside the timed region
+    # (engines compile once per model).
     model = build_paper_stack(np.random.default_rng(7))
     scan_x = rng.standard_normal((SCAN_BATCH, 1, TABULAR_LENGTH))
     meta_fw = {
@@ -268,15 +268,6 @@ def main() -> int:
         meta=dict(meta_fw, backend="fused_f32"),
     )
     suite.record_speedup("forward_fused_f32", forward_f64, forward_fused)
-    int8_plan = get_backend("int8").compile(model)
-    int8_plan.predict_proba(scan_x)
-    forward_int8 = suite.time(
-        lambda: int8_plan.predict_proba(scan_x),
-        "forward_int8",
-        repeats=args.repeats,
-        meta=dict(meta_fw, backend="int8"),
-    )
-    suite.record_speedup("forward_int8", forward_f64, forward_int8)
 
     # -- col2im in isolation (the scatter is the backward's hot piece) -------
     ck = 1 * KERNEL * KERNEL

@@ -10,7 +10,7 @@ representation of the graph modality.  Both expose the
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,28 +37,20 @@ class _BackendMixin:
 
     The golden ``numpy`` backend routes inference through the model's own
     float64 forward pass (bit-identical to training); any other backend
-    lazily compiles an inference plan (fused float32 / int8) on first use
+    lazily compiles an inference plan (fused float32) on first use
     and reuses it — including its scratch buffers — across calls.  Fitting
     invalidates the plan because plans snapshot the weights at compile.
     """
 
     _model: Sequential
 
-    def set_backend(
-        self,
-        name: str,
-        quant_state: Optional[Dict[str, np.ndarray]] = None,
-    ) -> "_BackendMixin":
-        """Select the inference backend (and optional cached quantized state).
+    def set_backend(self, name: str) -> "_BackendMixin":
+        """Select the inference backend.
 
-        ``quant_state`` carries precomputed per-channel int8 weights (as
-        produced by :meth:`quantized_state`) so a loaded artifact does not
-        re-quantize; it is ignored by backends that do not use it.  Raises
-        ``ValueError`` for unknown backend names.
+        Raises ``ValueError`` for unknown backend names.
         """
         get_backend(name)  # validate eagerly so callers get a clear error
         self._backend = name
-        self._quant_state = quant_state
         self._plan = None
         return self
 
@@ -66,10 +58,6 @@ class _BackendMixin:
     def backend(self) -> str:
         """Name of the active inference backend."""
         return getattr(self, "_backend", DEFAULT_BACKEND)
-
-    def quantized_state(self) -> Dict[str, np.ndarray]:
-        """The int8 backend's cacheable arrays (per-channel weights/scales)."""
-        return get_backend("int8").compile(self._model).export_state()
 
     def _invalidate_plan(self) -> None:
         self._plan = None
@@ -80,9 +68,7 @@ class _BackendMixin:
             return self._model.predict_proba(x)
         plan: Optional[InferencePlan] = getattr(self, "_plan", None)
         if plan is None:
-            plan = get_backend(self._backend).compile(
-                self._model, state=getattr(self, "_quant_state", None)
-            )
+            plan = get_backend(self._backend).compile(self._model)
             self._plan = plan
         return plan.predict_proba(x)
 

@@ -85,8 +85,7 @@ class ConformalFusionModel:
         self._fit_models(features, train_idx, calibration_idx)
         self._fitted = True
         if self.backend != "numpy":
-            # _fit_models rebuilds the classifiers; re-apply the selection
-            # (fresh weights mean any cached quantized state is stale).
+            # _fit_models rebuilds the classifiers; re-apply the selection.
             self.set_backend(self._backend)
         return self
 
@@ -95,41 +94,30 @@ class ConformalFusionModel:
             raise RuntimeError(f"{type(self).__name__} must be fitted before prediction")
 
     # -- compute backend ------------------------------------------------------
-    def _classifier_components(self) -> Dict[str, CNNModalityClassifier]:
-        """Component-name -> classifier map (matches the artifact layout)."""
+    def _cnn_classifiers(self) -> List[CNNModalityClassifier]:
+        """The underlying CNN classifier(s) a backend selection applies to."""
         mapping = getattr(self, "_classifiers", None)
         if mapping:
-            return dict(mapping)
+            return list(mapping.values())
         classifier = getattr(self, "_classifier", None)
-        if classifier is None:
-            return {}
-        return {getattr(self, "modality", None) or "joint": classifier}
+        return [] if classifier is None else [classifier]
 
     @property
     def backend(self) -> str:
         """Name of the inference backend applied to the classifier(s)."""
         return getattr(self, "_backend", "numpy")
 
-    def set_backend(
-        self,
-        name: str,
-        quant_state: Optional[Dict[str, Dict[str, np.ndarray]]] = None,
-    ) -> "ConformalFusionModel":
+    def set_backend(self, name: str) -> "ConformalFusionModel":
         """Select the compute backend for every underlying CNN classifier.
 
-        ``quant_state`` optionally maps component names (as in the artifact
-        layout: the modality name, ``"joint"``, or one entry per late-fusion
-        modality) to that classifier's cached int8 quantization arrays.
         Raises ``ValueError`` for unknown backend names.
         """
         from ..nn.backend import get_backend
 
         get_backend(name)  # validate before touching any classifier
         self._backend = name
-        for component, classifier in self._classifier_components().items():
-            classifier.set_backend(
-                name, (quant_state or {}).get(component)
-            )
+        for classifier in self._cnn_classifiers():
+            classifier.set_backend(name)
         return self
 
     def p_values(self, features: MultimodalFeatures) -> np.ndarray:

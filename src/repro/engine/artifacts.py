@@ -25,21 +25,16 @@ retrains.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import logging
 import os
-import struct
 import tempfile
-import zipfile
-import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.config import NoodleConfig
-from ..faults import corrupting_failpoint, failpoint
+from ..faults import failpoint
 from ..core.fusion import (
     ConformalFusionModel,
     EarlyFusionModel,
@@ -49,17 +44,11 @@ from ..core.fusion import (
 from ..core.noodle import NOODLE
 from ..nn.serialize import classifier_state_dict, icp_state_dict, restore_classifier, restore_icp
 
-logger = logging.getLogger(__name__)
-
 #: Version stamped into every manifest; bumped on layout changes.
 ARTIFACT_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
-
-#: Sidecar archive caching the int8 backend's per-channel quantized weights,
-#: keyed by the detector fingerprint so a retrain invalidates it.
-QUANT_CACHE_NAME = "quantized_int8.npz"
 
 #: Filename of a fleet manifest: one JSON file naming several artifact
 #: directories for multi-model serving (``python -m repro serve --fleet``).
@@ -349,131 +338,3 @@ def load_detector(
         raise ArtifactError(f"unknown detector kind {kind!r} in {path}")
     model._fitted = True
     return model, manifest
-
-
-# ---------------------------------------------------------------------------
-# Quantized-weight sidecar cache (int8 backend)
-# ---------------------------------------------------------------------------
-
-
-def _quarantine_sidecar(cache_path: Path, reason: Exception) -> None:
-    """Move a corrupt sidecar aside as ``<name>.corrupt`` so it is not re-read.
-
-    Mirrors the result cache's quarantine discipline: the broken file is
-    preserved for post-mortem, the engine recomputes, and the next
-    :func:`save_quantized_state` writes a fresh sidecar in its place.
-    """
-    target = cache_path.with_name(cache_path.name + ".corrupt")
-    logger.warning(
-        "quarantining corrupt quantized sidecar %s -> %s (%s: %s)",
-        cache_path,
-        target.name,
-        type(reason).__name__,
-        reason,
-    )
-    try:
-        os.replace(cache_path, target)
-    except OSError:
-        pass  # a concurrent loader may have quarantined it already
-
-
-def load_quantized_state(
-    path: Union[str, Path], fingerprint: str
-) -> Optional[Dict[str, Dict[str, np.ndarray]]]:
-    """Read the artifact's cached int8 quantization state, if valid.
-
-    Returns the nested ``{component: {key: array}}`` mapping expected by
-    ``ConformalFusionModel.set_backend('int8', ...)``, or ``None`` when the
-    sidecar is absent, unreadable, or was written for a different detector
-    fingerprint (e.g. after a retrain) — callers then re-quantize.  A
-    corrupt sidecar (truncated archive, bad zlib stream, mangled entry) is
-    quarantined as ``*.corrupt`` so the recompute is done once, not on
-    every load.  A wrong-fingerprint sidecar is *not* corrupt — it is left
-    in place and simply ignored.
-    """
-    cache_path = Path(path) / QUANT_CACHE_NAME
-    if not cache_path.is_file():
-        return None
-    try:
-        raw = corrupting_failpoint("artifact.quantized.read", cache_path.read_bytes())
-        # Entry reads on a truncated npz raise mid-iteration (EOFError,
-        # zlib.error, struct.error — not just BadZipFile at open), so the
-        # whole decode sits under one try and any failure quarantines.
-        with np.load(io.BytesIO(raw)) as archive:
-            if str(archive["__fingerprint__"]) != fingerprint:
-                return None
-            state: Dict[str, Dict[str, np.ndarray]] = {}
-            for key in archive.files:
-                if key == "__fingerprint__":
-                    continue
-                component, _, entry = key.partition("/")
-                state.setdefault(component, {})[entry] = archive[key]
-            return state
-    except KeyError:
-        # Missing "__fingerprint__" (or entry) in a structurally sound
-        # archive: not ours / legacy layout — ignore without quarantining.
-        return None
-    except OSError as exc:
-        if not cache_path.is_file():
-            return None  # vanished between the stat and the read
-        _quarantine_sidecar(cache_path, exc)
-        return None
-    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error, struct.error) as exc:
-        _quarantine_sidecar(cache_path, exc)
-        return None
-
-
-def save_quantized_state(
-    path: Union[str, Path],
-    fingerprint: str,
-    state: Dict[str, Dict[str, np.ndarray]],
-) -> Path:
-    """Atomically persist the int8 quantization sidecar next to the artifact.
-
-    The nested component state is flattened to ``component/key`` archive
-    entries with the owning fingerprint stored alongside, and the archive is
-    written via a temp file + ``os.replace`` so concurrent readers never see
-    a torn file.
-    """
-    path = Path(path)
-    flat: Dict[str, np.ndarray] = {"__fingerprint__": np.array(fingerprint)}
-    for component, entries in state.items():
-        for key, value in entries.items():
-            flat[f"{component}/{key}"] = value
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path, prefix=QUANT_CACHE_NAME + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **flat)
-        os.replace(tmp_name, path / QUANT_CACHE_NAME)
-    except BaseException:  # never leave a torn temp archive behind
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path / QUANT_CACHE_NAME
-
-
-def prepare_quantized_state(
-    model: ConformalFusionModel, path: Union[str, Path], fingerprint: str
-) -> Dict[str, Dict[str, np.ndarray]]:
-    """Load — or compute once and cache — a detector's int8 weight prep.
-
-    Per-channel weight scales depend only on the trained weights, so they
-    are computed at most once per artifact: subsequent engine loads (and
-    every scan worker process) read the sidecar instead of re-quantizing.
-    A read-only artifact directory degrades gracefully to in-memory
-    quantization.
-    """
-    state = load_quantized_state(path, fingerprint)
-    if state is not None:
-        return state
-    _, classifiers, _ = _model_components(model)
-    state = {name: clf.quantized_state() for name, clf in classifiers.items()}
-    try:
-        save_quantized_state(path, fingerprint, state)
-    except OSError:
-        pass  # read-only artifact dir: quantize per-process instead
-    return state

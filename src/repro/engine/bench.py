@@ -26,11 +26,11 @@ Measures the three ways the same multi-design workload can be served:
   Each timed call opens a fresh :class:`FeatureStore` handle (a CLI
   rescan is a fresh process), so the number includes reading the packed
   shards off disk;
-* ``engine_scan_fused_f32`` / ``engine_scan_int8`` — the same
-  warm-feature-store scan under each production compute backend: with
-  extraction served from the store, these isolate what the fused float32
-  and int8 dynamic-quantized forward paths change (ratios against the
-  warm ``numpy`` scan land in ``engine_scan_<backend>_vs_numpy_warm``).
+* ``engine_scan_fused_f32`` — the same warm-feature-store scan under the
+  ``fused_f32`` compute backend: with extraction served from the store,
+  this isolates what the fused float32 forward path changes (the ratio
+  against the warm ``numpy`` scan lands in
+  ``engine_scan_fused_f32_vs_numpy_warm``).
 
 All speedups are recorded against ``engine_scan_sequential``, plus
 ``engine_rescan_after_reload_vs_cold`` against the fully-cold batched
@@ -209,32 +209,29 @@ def run_engine_benchmark(
             "engine_rescan_after_reload_vs_cold", batched, reloaded
         )
 
-        # Compute-backend scans over the same warm feature tier: with
+        # The fused_f32 backend over the same warm feature tier: with
         # extraction served from the store, the timed region is dominated
-        # by the forward pass — exactly what the backends change.
-        def scan_with_backend(backend: str) -> None:
+        # by the forward pass — exactly what the backend changes.
+        def scan_fused_f32() -> None:
             engine = ScanEngine(
                 model,
-                fingerprint=f"bench_{backend}",
+                fingerprint="bench_fused_f32",
                 feature_store=FeatureStore(feature_dir),
-                backend=backend,
-                quant_state=None,
+                backend="fused_f32",
             )
             report = engine.scan_sources(batch, workers=workers)
             assert report.n_feature_hits == len(batch), "feature tier missed"
 
-        for backend in ("fused_f32", "int8"):
-            name = f"engine_scan_{backend}"
-            timed = suite.time(
-                lambda b=backend: scan_with_backend(b),
-                name,
-                repeats=repeats,
-                meta=dict(meta, backend=backend, feature_rows=len(batch)),
-            )
-            suite.record_speedup(name, sequential, timed)
-            # The backend ratio: same warm-feature scan, numpy vs this
-            # backend's forward pass.
-            suite.record_speedup(f"{name}_vs_numpy_warm", reloaded, timed)
+        fused = suite.time(
+            scan_fused_f32,
+            "engine_scan_fused_f32",
+            repeats=repeats,
+            meta=dict(meta, backend="fused_f32", feature_rows=len(batch)),
+        )
+        suite.record_speedup("engine_scan_fused_f32", sequential, fused)
+        # The backend ratio: same warm-feature scan, numpy vs the fused
+        # forward pass.
+        suite.record_speedup("engine_scan_fused_f32_vs_numpy_warm", reloaded, fused)
 
     suite.write_json(output)
     return suite

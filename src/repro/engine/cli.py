@@ -8,8 +8,8 @@ Subcommands (see ``docs/ENGINE.md`` for a walkthrough):
   labelled data (no CNN retraining);
 * ``scan``      — run the batched scan pipeline over HDL files/directories
   (or a generated demo batch) using a saved artifact; ``--backend``
-  selects the inference compute backend (``numpy`` golden float64,
-  ``fused_f32``, ``int8``);
+  selects the inference compute backend (``numpy`` golden float64 or
+  ``fused_f32``);
 * ``report``    — pretty-print the triage queues of a saved scan-results
   JSON;
 * ``cache-info`` — report both cache tiers under a cache directory (the
@@ -111,9 +111,8 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
         "--backend",
         default=DEFAULT_BACKEND,
         metavar="NAME",
-        help="inference compute backend: 'numpy' (float64 golden path), "
-        "'fused_f32' (fused float32 forward), or 'int8' (dynamic-quantized "
-        "scanning; quantized weights are cached in the artifact directory)",
+        help="inference compute backend: 'numpy' (float64 golden path) or "
+        "'fused_f32' (fused float32 forward)",
     )
 
 
@@ -528,7 +527,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             promote_threshold=args.promote_threshold,
             min_shadow_designs=args.min_shadow,
             shadow_sample=args.shadow_sample,
-            frontend=args.frontend,
             host=args.host,
             port=args.port,
             batch_window_s=args.batch_window_ms / 1000.0,
@@ -572,7 +570,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {len(artifacts)} model(s) on "
             f"http://{service.host}:{service.port} "
-            f"({args.frontend} frontend, repro {__version__})"
+            f"(repro {__version__})"
         )
         for name in service.models:
             entry = service.registry.get(artifacts[name])
@@ -881,13 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="RATE",
         help="fraction of champion traffic the challenger shadow-scans",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("eventloop", "threaded"),
-        default="eventloop",
-        help="HTTP front-end: the selectors event loop (default) or the "
-        "stdlib thread-per-connection server",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind host (default: loopback only)"

@@ -398,8 +398,8 @@ class ScanReport:
         summed per-worker times) are CPU seconds, not slices of the wall
         clock, and are listed without a percentage.  Non-default compute
         backends additionally break the ``infer`` stage down into its
-        ``infer/<sub-stage>`` components (prep / quantize / gemm /
-        activation), indented under the infer line; sub-stages are part of
+        ``infer/<sub-stage>`` components (prep / gemm / activation),
+        indented under the infer line; sub-stages are part of
         the infer time, so they do not count toward the total again.
         """
         grand_total = self.seconds_total + self.stage_seconds.get("collect", 0.0)
@@ -501,13 +501,8 @@ class ScanEngine:
     backend:
         Compute backend for the forward pass (see
         :mod:`repro.nn.backend`): ``"numpy"`` is the golden float64
-        reference, ``"fused_f32"`` the fused float32 inference path,
-        ``"int8"`` the dynamic-quantized path.  Raises ``ValueError`` for
-        unknown names.
-    quant_state:
-        Optional precomputed int8 quantization state (the artifact
-        sidecar's contents), forwarded to the model so the int8 backend
-        does not re-quantize; ignored by the other backends.
+        reference, ``"fused_f32"`` the fused float32 inference path.
+        Raises ``ValueError`` for unknown names.
     """
 
     def __init__(
@@ -518,7 +513,6 @@ class ScanEngine:
         feature_store: Optional[FeatureStore] = None,
         image_size: int = DEFAULT_IMAGE_SIZE,
         backend: str = DEFAULT_BACKEND,
-        quant_state: Optional[Dict[str, Dict[str, np.ndarray]]] = None,
     ) -> None:
         get_backend(backend)  # validate the name before any work happens
         self.model = model
@@ -531,7 +525,7 @@ class ScanEngine:
         #: explicitly (the scheduler's serial path and pool workers set it).
         self.tracer: Optional[Tracer] = None
         if hasattr(model, "set_backend"):
-            model.set_backend(backend, quant_state)
+            model.set_backend(backend)
         elif backend != DEFAULT_BACKEND:
             raise ValueError(
                 f"model {type(model).__name__} does not support compute-backend "
@@ -552,20 +546,12 @@ class ScanEngine:
         ``cache_dir`` attaches the fingerprint-namespaced result tier;
         ``feature_store_dir`` attaches the model-independent feature tier
         (conventionally ``<cache_dir>/features`` — the CLI wires that up).
-        For the ``int8`` backend the per-channel quantized weights are
-        loaded from (or computed once and cached into) the artifact
-        directory's ``quantized_int8.npz`` sidecar.
         """
-        from .artifacts import load_detector, prepare_quantized_state
+        from .artifacts import load_detector
 
         get_backend(backend)  # fail fast, before the artifact load
         model, manifest = load_detector(artifact_path)
         fingerprint = manifest.get("fingerprint", "unversioned")
-        quant_state = (
-            prepare_quantized_state(model, artifact_path, fingerprint)
-            if backend == "int8"
-            else None
-        )
         cache = ScanCache(cache_dir, fingerprint) if cache_dir is not None else None
         store = (
             FeatureStore(feature_store_dir, image_size=image_size)
@@ -579,7 +565,6 @@ class ScanEngine:
             feature_store=store,
             image_size=image_size,
             backend=backend,
-            quant_state=quant_state,
         )
 
     # -- scanning ------------------------------------------------------------

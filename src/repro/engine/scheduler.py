@@ -125,9 +125,7 @@ def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) ->
     feature_store_dir, backend)`` — each worker loads the persisted
     detector itself — or ``("model", pickled_model, fingerprint,
     image_size, feature_store_dir, backend)`` for in-memory models.  The
-    compute backend is applied per worker; artifact workers pick the int8
-    sidecar up from the artifact directory (it was prepared by the parent
-    before the pool started).  Workers never touch the
+    compute backend is applied per worker.  Workers never touch the
     *result* cache (the parent owns all result-cache I/O, so a scan keeps
     a single writer per process tree), but each worker opens its own
     handle on the shared model-independent feature store: the store's
@@ -140,13 +138,10 @@ def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) ->
     global _WORKER_ENGINE
     limit_blas_threads()
     kind, spec, fingerprint, image_size, feature_store_dir, backend = payload
-    quant_state = None
     if kind == "artifact":
-        from .artifacts import load_detector, prepare_quantized_state
+        from .artifacts import load_detector
 
         model, _ = load_detector(spec)
-        if backend == "int8":
-            quant_state = prepare_quantized_state(model, spec, fingerprint)
     else:
         model = pickle.loads(spec)
     store = (
@@ -161,7 +156,6 @@ def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) ->
         feature_store=store,
         image_size=image_size,
         backend=backend,
-        quant_state=quant_state,
     )
 
 
@@ -432,19 +426,12 @@ class ScanScheduler:
         Workers load the artifact themselves at pool start-up; the parent
         only reads the manifest (for the fingerprint and default
         confidence) and optionally attaches the sharded result cache and
-        the shared feature-store root.  For the ``int8`` backend the
-        quantized-weight sidecar is prepared in the artifact directory up
-        front, so pool workers all read it instead of re-quantizing.
+        the shared feature-store root.
         """
         from .artifacts import load_manifest
 
         manifest = load_manifest(artifact_path)
         fingerprint = manifest.get("fingerprint", "unversioned")
-        if backend == "int8":
-            from .artifacts import load_detector, prepare_quantized_state
-
-            model, _ = load_detector(artifact_path)
-            prepare_quantized_state(model, artifact_path, fingerprint)
         cache = ScanCache(cache_dir, fingerprint) if cache_dir is not None else None
         return cls(
             artifact_path=artifact_path,
@@ -533,13 +520,6 @@ class ScanScheduler:
                 if self.feature_store_dir is not None
                 else None
             )
-            quant_state = None
-            if self.backend == "int8" and self.artifact_path is not None:
-                from .artifacts import prepare_quantized_state
-
-                quant_state = prepare_quantized_state(
-                    model, self.artifact_path, self.fingerprint
-                )
             self._parent_engine_cache = ScanEngine(
                 model,
                 fingerprint=self.fingerprint,
@@ -547,7 +527,6 @@ class ScanScheduler:
                 feature_store=store,
                 image_size=self.image_size,
                 backend=self.backend,
-                quant_state=quant_state,
             )
         return self._parent_engine_cache
 
@@ -668,7 +647,9 @@ class ScanScheduler:
             raise ValueError("resume=True requires a result cache")
         t_start = time.perf_counter()
         level = confidence if confidence is not None else self.default_confidence
-        report = ScanReport(n_designs=len(sources), confidence_level=level)
+        report = ScanReport(
+            n_designs=len(sources), confidence_level=level, backend=self.backend
+        )
 
         records, pending = resolve_cache_hits(self.cache, sources, level)
         report.n_cache_hits = len(sources) - len(pending)

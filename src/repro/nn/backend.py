@@ -7,7 +7,7 @@ no caches, and the same batch shape over and over — so this module introduces 
 *backend seam*: a registry of named compute backends that compile a fitted
 :class:`repro.nn.model.Sequential` into an inference-only execution plan.
 
-Three backends ship by default:
+Two backends ship by default:
 
 ``numpy`` (the golden default)
     Delegates to ``Sequential.forward(training=False)`` — bit-identical to the
@@ -22,19 +22,11 @@ Three backends ship by default:
     :data:`GEMM_THREAD_THRESHOLD` (BLAS releases the GIL, so column tiles
     genuinely run in parallel).
 
-``int8``
-    Dynamic quantization on top of the fused path: per-output-channel weight
-    scales are computed **once** at compile (or restored from the artifact
-    directory's quantized-weight cache), activations are quantized per batch
-    with a single per-tensor scale, and the int8×int8 products are accumulated
-    via the float32 GEMM (the quantized values are exact small integers, far
-    inside float32's 2**24 exact-integer range at these kernel sizes).
-
 Backends are selected per engine — ``ScanEngine(..., backend=...)``, the CLI's
 ``--backend`` flag and the serve layer's ``--backend`` all resolve through
 :func:`get_backend`.  Step timings are accumulated in the module-level
 :data:`PROFILER` so ``scan --profile`` can report ``infer/prep``,
-``infer/quantize``, ``infer/gemm`` and ``infer/activation`` per backend.
+``infer/gemm`` and ``infer/activation`` per backend.
 """
 
 from __future__ import annotations
@@ -90,7 +82,7 @@ class BackendProfiler:
     """Thread-safe accumulator of per-stage backend timings.
 
     Execution steps call :meth:`add` with one of the canonical stage names
-    (``prep``, ``quantize``, ``gemm``, ``activation``, ``fallback``); the
+    (``prep``, ``gemm``, ``activation``, ``fallback``); the
     scan engine calls :meth:`reset` before inference and :meth:`snapshot`
     after, turning the totals into ``infer/<stage>`` profile entries.
     """
@@ -241,10 +233,6 @@ class InferencePlan:
             outputs.append(np.array(self.forward(x[start : start + batch_size])))
         return np.concatenate(outputs, axis=0) if outputs else np.empty((0,))
 
-    def export_state(self) -> Dict[str, np.ndarray]:
-        """Precomputed arrays worth caching on disk (empty for most plans)."""
-        return {}
-
 
 class _GoldenPlan(InferencePlan):
     """The ``numpy`` backend's plan: defer to the golden training stack."""
@@ -292,15 +280,6 @@ class _CompiledPlan(InferencePlan):
         for step in self.steps:
             out = step.run(out, self)
         return out
-
-    def export_state(self) -> Dict[str, np.ndarray]:
-        """Collect every quantized step's cacheable arrays (int8 plans)."""
-        state: Dict[str, np.ndarray] = {}
-        for step in self.steps:
-            exporter = getattr(step, "quant_state", None)
-            if exporter is not None:
-                state.update(exporter())
-        return state
 
 
 class _Step:
@@ -636,165 +615,6 @@ class _FallbackStep(_Step):
 
 
 # ---------------------------------------------------------------------------
-# Int8 dynamic-quantized steps
-# ---------------------------------------------------------------------------
-
-
-def _quantize_weights(w_mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-output-channel int8 quantization of a weight matrix.
-
-    ``w_mat`` has one output channel per **row**; returns ``(w_q, scale)``
-    with ``w_q`` int8 and ``scale`` float32 such that
-    ``w_mat ≈ w_q * scale[:, None]``.  All-zero channels get scale 1 so the
-    reconstruction stays exact.
-    """
-    scale = np.abs(w_mat).max(axis=1) / 127.0
-    scale[scale == 0.0] = 1.0
-    w_q = np.clip(np.rint(w_mat / scale[:, None]), -127, 127).astype(np.int8)
-    return w_q, scale.astype(np.float32)
-
-
-def _quantize_activations(
-    values: np.ndarray, out: np.ndarray
-) -> float:
-    """Per-tensor dynamic int8 quantization of ``values`` into ``out``.
-
-    ``out`` receives the quantized levels as exact small integers stored in
-    float32 (so the product GEMM runs through BLAS); returns the scale.
-    """
-    s_x = float(np.abs(values).max()) / 127.0
-    if s_x == 0.0:
-        s_x = 1.0
-    np.multiply(values, 1.0 / s_x, out=out)
-    np.rint(out, out=out)
-    return s_x
-
-
-class _Int8Conv1d(_FusedConv1d):
-    """Conv1d with int8 per-channel weights and per-batch activation scales."""
-
-    def __init__(
-        self,
-        idx: int,
-        layer: Conv1d,
-        state: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
-        super().__init__(idx, layer)
-        if state is not None and f"{idx}/w_q" in state:
-            self.w_q = np.asarray(state[f"{idx}/w_q"], dtype=np.int8)
-            self.scale = np.asarray(state[f"{idx}/scale"], dtype=np.float32)
-        else:
-            self.w_q, self.scale = _quantize_weights(
-                layer.weight.reshape(layer.out_channels, -1)
-            )
-        self.w = self.w_q.astype(np.float32)
-
-    def quant_state(self) -> Dict[str, np.ndarray]:
-        """Arrays worth caching in the artifact dir (weights quantize once)."""
-        return {f"{self.idx}/w_q": self.w_q, f"{self.idx}/scale": self.scale}
-
-    def run(self, x: np.ndarray, plan: _CompiledPlan) -> np.ndarray:
-        t0 = time.perf_counter()
-        cols, n, out_len = self._columns(x, plan)
-        t1 = time.perf_counter()
-        quantized = plan.scratch((self.idx, "q"), cols.shape)
-        s_x = _quantize_activations(cols, quantized)
-        t2 = time.perf_counter()
-        out = plan.scratch((self.idx, "out"), (self.out_channels, n * out_len))
-        fused_gemm(self.w, quantized, out)
-        out *= (self.scale * np.float32(s_x))[:, None]
-        out += self.b[:, None]
-        t3 = time.perf_counter()
-        PROFILER.add("prep", t1 - t0)
-        PROFILER.add("quantize", t2 - t1)
-        PROFILER.add("gemm", t3 - t2)
-        self._activate(out)
-        return out.reshape(self.out_channels, n, out_len).transpose(1, 0, 2)
-
-
-class _Int8Conv2d(_FusedConv2d):
-    """Conv2d with int8 per-channel weights and per-batch activation scales."""
-
-    def __init__(
-        self,
-        idx: int,
-        layer: Conv2d,
-        state: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
-        super().__init__(idx, layer)
-        if state is not None and f"{idx}/w_q" in state:
-            self.w_q = np.asarray(state[f"{idx}/w_q"], dtype=np.int8)
-            self.scale = np.asarray(state[f"{idx}/scale"], dtype=np.float32)
-        else:
-            self.w_q, self.scale = _quantize_weights(
-                layer.weight.reshape(layer.out_channels, -1)
-            )
-        self.w = self.w_q.astype(np.float32)
-
-    def quant_state(self) -> Dict[str, np.ndarray]:
-        """Arrays worth caching in the artifact dir (weights quantize once)."""
-        return {f"{self.idx}/w_q": self.w_q, f"{self.idx}/scale": self.scale}
-
-    def run(self, x: np.ndarray, plan: _CompiledPlan) -> np.ndarray:
-        t0 = time.perf_counter()
-        cols, n, out_h, out_w = self._columns(x, plan)
-        t1 = time.perf_counter()
-        quantized = plan.scratch((self.idx, "q"), cols.shape)
-        s_x = _quantize_activations(cols, quantized)
-        t2 = time.perf_counter()
-        out = plan.scratch((self.idx, "out"), (self.out_channels, n * out_h * out_w))
-        fused_gemm(self.w, quantized, out)
-        out *= (self.scale * np.float32(s_x))[:, None]
-        out += self.b[:, None]
-        t3 = time.perf_counter()
-        PROFILER.add("prep", t1 - t0)
-        PROFILER.add("quantize", t2 - t1)
-        PROFILER.add("gemm", t3 - t2)
-        self._activate(out)
-        return out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
-
-
-class _Int8Dense(_FusedDense):
-    """Dense with int8 per-output-channel weights, per-batch input scale."""
-
-    def __init__(
-        self,
-        idx: int,
-        layer: Dense,
-        state: Optional[Dict[str, np.ndarray]] = None,
-    ) -> None:
-        super().__init__(idx, layer)
-        if state is not None and f"{idx}/w_q" in state:
-            self.w_q = np.asarray(state[f"{idx}/w_q"], dtype=np.int8)
-            self.scale = np.asarray(state[f"{idx}/scale"], dtype=np.float32)
-        else:
-            # Quantize per *output* channel: transpose to row-per-channel.
-            w_q_t, self.scale = _quantize_weights(np.asarray(layer.weight).T)
-            self.w_q = np.ascontiguousarray(w_q_t.T)
-        self.w = self.w_q.astype(np.float32)
-
-    def quant_state(self) -> Dict[str, np.ndarray]:
-        """Arrays worth caching in the artifact dir (weights quantize once)."""
-        return {f"{self.idx}/w_q": self.w_q, f"{self.idx}/scale": self.scale}
-
-    def run(self, x: np.ndarray, plan: _CompiledPlan) -> np.ndarray:
-        t0 = time.perf_counter()
-        quantized = plan.scratch((self.idx, "q"), x.shape)
-        s_x = _quantize_activations(x, quantized)
-        t1 = time.perf_counter()
-        out = plan.scratch((self.idx, "out"), (x.shape[0], self.out_features))
-        fused_gemm(quantized, self.w, out)
-        out *= self.scale * np.float32(s_x)
-        if self.b is not None:
-            out += self.b
-        t2 = time.perf_counter()
-        PROFILER.add("quantize", t1 - t0)
-        PROFILER.add("gemm", t2 - t1)
-        self._activate(out)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
@@ -807,14 +627,8 @@ class InferenceBackend:
     #: Dominant arithmetic dtype, reported by ``/metrics`` and profiles.
     dtype = "float64"
 
-    def compile(
-        self, model: Sequential, state: Optional[Dict[str, np.ndarray]] = None
-    ) -> InferencePlan:
-        """Compile ``model`` into an executable :class:`InferencePlan`.
-
-        ``state`` optionally supplies precomputed arrays (e.g. cached int8
-        weights); backends that do not use it must ignore it.
-        """
+    def compile(self, model: Sequential) -> InferencePlan:
+        """Compile ``model`` into an executable :class:`InferencePlan`."""
         raise NotImplementedError
 
 
@@ -824,9 +638,7 @@ class NumpyBackend(InferenceBackend):
     name = DEFAULT_BACKEND
     dtype = "float64"
 
-    def compile(
-        self, model: Sequential, state: Optional[Dict[str, np.ndarray]] = None
-    ) -> InferencePlan:
+    def compile(self, model: Sequential) -> InferencePlan:
         """Wrap the model's own forward pass — bit-identical by construction."""
         return _GoldenPlan(model)
 
@@ -851,16 +663,7 @@ class FusedF32Backend(InferenceBackend):
         GlobalAveragePool1d: _FusedGlobalAvgPool1d,
     }
 
-    def _gemm_step(
-        self, idx: int, layer: Layer, state: Optional[Dict[str, np.ndarray]]
-    ) -> Optional[_Step]:
-        """Hook for subclasses to replace the GEMM-bearing steps."""
-        step_cls = self._STEP_TYPES.get(type(layer))
-        return step_cls(idx, layer) if step_cls is not None else None
-
-    def compile(
-        self, model: Sequential, state: Optional[Dict[str, np.ndarray]] = None
-    ) -> InferencePlan:
+    def compile(self, model: Sequential) -> InferencePlan:
         """Walk the layer list, fusing trailing activations into each step.
 
         Weights are snapshotted (cast to float32) at compile time; refitting
@@ -875,12 +678,13 @@ class FusedF32Backend(InferenceBackend):
             if isinstance(layer, Dropout):
                 i += 1  # inference no-op: drop the layer entirely
                 continue
-            step = self._gemm_step(i, layer, state)
-            if step is None:
-                if isinstance(layer, _FUSABLE_ACTIVATIONS):
-                    step = _ActivationStep(i, layer)
-                else:
-                    step = _FallbackStep(i, layer)
+            step_cls = self._STEP_TYPES.get(type(layer))
+            if step_cls is not None:
+                step: _Step = step_cls(i, layer)
+            elif isinstance(layer, _FUSABLE_ACTIVATIONS):
+                step = _ActivationStep(i, layer)
+            else:
+                step = _FallbackStep(i, layer)
             if (
                 step.fusable
                 and i + 1 < len(layers)
@@ -891,24 +695,6 @@ class FusedF32Backend(InferenceBackend):
             steps.append(step)
             i += 1
         return _CompiledPlan(self.name, self.dtype, steps)
-
-
-class Int8Backend(FusedF32Backend):
-    """Dynamic int8 quantization of the GEMM layers on the fused path."""
-
-    name = "int8"
-    dtype = "int8"
-
-    _QUANT_TYPES = {Conv1d: _Int8Conv1d, Conv2d: _Int8Conv2d, Dense: _Int8Dense}
-
-    def _gemm_step(
-        self, idx: int, layer: Layer, state: Optional[Dict[str, np.ndarray]]
-    ) -> Optional[_Step]:
-        """Quantized steps for the GEMM layers, fused f32 for the rest."""
-        quant_cls = self._QUANT_TYPES.get(type(layer))
-        if quant_cls is not None:
-            return quant_cls(idx, layer, state)
-        return super()._gemm_step(idx, layer, state)
 
 
 # ---------------------------------------------------------------------------
@@ -944,4 +730,3 @@ def get_backend(name: str) -> InferenceBackend:
 
 register_backend(NumpyBackend.name, NumpyBackend)
 register_backend(FusedF32Backend.name, FusedF32Backend)
-register_backend(Int8Backend.name, Int8Backend)

@@ -4,17 +4,18 @@ Per-request inference is wasteful: a batch-1 CNN forward pass is almost
 all fixed overhead (layer setup, im2col, the conformal ``searchsorted``
 calls), and with the result cache attached every request also pays a
 lock + read-merge-write cache flush.  :class:`MicroBatcher` amortises
-both: handler threads enqueue their designs and block, a single worker
-thread collects everything that arrives within ``batch_window_s`` (up to
-``max_batch`` designs), runs **one** :meth:`ScanEngine.scan_sources` call
-for the whole batch — one vectorized forward pass, one ``searchsorted``
-p-value call, one cache flush — and hands each request back exactly its
-own slice of the records.
+both: the front-end enqueues each request's designs with a completion
+callback and moves on, a single worker thread collects everything that
+arrives within ``batch_window_s`` (up to ``max_batch`` designs), runs
+**one** :meth:`ScanEngine.scan_sources` call for the whole batch — one
+vectorized forward pass, one ``searchsorted`` p-value call, one cache
+flush — and hands each request back exactly its own slice of the
+records through that callback.
 
 Because every scan funnels through the one worker thread, the engine and
 its cache tiers are only ever touched single-threaded — the batcher is
-also the concurrency guard that makes a process-wide :class:`ScanEngine`
-safe under a threaded HTTP server.
+also the concurrency guard that lets one process-wide
+:class:`ScanEngine` serve every request.
 
 Batch assembly is copy-lean end to end: the engine preallocates each
 micro-batch's feature matrices once and fills slices in place (feature
@@ -40,7 +41,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from collections import deque
 
@@ -63,7 +64,7 @@ DEADLINE_ERROR = "deadline exceeded before scan"
 
 
 class MicroBatchError(RuntimeError):
-    """Raised to the submitting thread when its batch failed or was refused."""
+    """Raised to the submitting thread when its request was refused."""
 
 
 class BatcherClosed(MicroBatchError):
@@ -108,18 +109,14 @@ class _Pending:
     #: :data:`DEADLINE_ERROR` before the forward pass instead of wasting
     #: batch capacity on an answer nobody is waiting for.
     deadline: Optional[Deadline] = None
-    done: threading.Event = field(default_factory=threading.Event)
     result: Optional[BatchResult] = None
     error: Optional[str] = None
-    #: Completion callback for asynchronous submitters (the event-loop
-    #: front-end): invoked from the worker thread once ``result`` or
-    #: ``error`` is set.  ``None`` for blocking :meth:`MicroBatcher.submit`
-    #: callers, which wait on ``done`` instead.
+    #: Completion callback: invoked from the worker thread once ``result``
+    #: or ``error`` is set.
     on_done: Optional[Callable[[Optional[BatchResult], Optional[str]], None]] = None
 
     def finish(self) -> None:
-        """Mark this request complete and notify whoever is waiting on it."""
-        self.done.set()
+        """Mark this request complete and notify its completion callback."""
         if self.on_done is not None:
             try:
                 self.on_done(self.result, self.error)
@@ -239,39 +236,6 @@ class MicroBatcher:
             self._cond.notify_all()
 
     # -- submitting ----------------------------------------------------------
-    def submit(
-        self,
-        sources: Sequence[ScanSource],
-        confidence: Optional[float] = None,
-        timeout: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> BatchResult:
-        """Enqueue designs and block until their batch has been scanned.
-
-        Called from any number of handler threads.  Raises
-        :class:`BatcherClosed` when the batcher is draining/closed,
-        :class:`BatcherOverloaded` when the queue is at its admission
-        bound, :class:`DeadlineExceeded` when ``deadline`` expired before
-        the batch ran, :class:`MicroBatchError` when the batch's scan
-        call failed, and ``TimeoutError`` if ``timeout`` elapses first.
-        """
-        if not sources:
-            raise MicroBatchError("a scan request needs at least one source")
-        pending = _Pending(
-            sources=list(sources), confidence=confidence, deadline=deadline
-        )
-        self._admit(pending)
-        if not pending.done.wait(timeout):
-            raise TimeoutError(
-                f"micro-batch result did not arrive within {timeout}s"
-            )
-        if pending.error == DEADLINE_ERROR:
-            raise DeadlineExceeded(pending.error)
-        if pending.error is not None:
-            raise MicroBatchError(pending.error)
-        assert pending.result is not None
-        return pending.result
-
     def submit_nowait(
         self,
         sources: Sequence[ScanSource],
@@ -283,16 +247,15 @@ class MicroBatcher:
     ) -> None:
         """Enqueue designs without blocking; completion arrives via callback.
 
-        The asynchronous twin of :meth:`submit`, built for callers that
-        must never block — the event-loop front-end enqueues here and
-        keeps multiplexing sockets.  ``on_done(result, error)`` is
-        invoked from the **worker thread** once the batch executed
-        (exactly one of the two arguments is non-``None``; a request shed
-        for an expired ``deadline`` gets ``error == DEADLINE_ERROR``); it
-        must be quick and must not raise.  Raises :class:`BatcherClosed`
-        / :class:`BatcherOverloaded` / :class:`MicroBatchError`
-        synchronously only for requests that never made it into the
-        queue.
+        Built for callers that must never block — the event-loop
+        front-end enqueues here and keeps multiplexing sockets.
+        ``on_done(result, error)`` is invoked from the **worker thread**
+        once the batch executed (exactly one of the two arguments is
+        non-``None``; a request shed for an expired ``deadline`` gets
+        ``error == DEADLINE_ERROR``); it must be quick and must not raise.
+        Raises :class:`BatcherClosed` / :class:`BatcherOverloaded` /
+        :class:`MicroBatchError` synchronously only for requests that
+        never made it into the queue.
         """
         if not sources:
             raise MicroBatchError("a scan request needs at least one source")
@@ -309,11 +272,11 @@ class MicroBatcher:
         """Stop accepting requests, drain the queue, stop the worker.
 
         Requests already enqueued are still scanned (graceful drain); new
-        :meth:`submit` calls raise :class:`BatcherClosed` immediately.
-        Idempotent.  Returns ``True`` when the worker actually finished
-        within ``timeout`` — callers that share state with the worker
-        (e.g. the serving layer's cache flush) must check this before
-        touching it.
+        :meth:`submit_nowait` calls raise :class:`BatcherClosed`
+        immediately.  Idempotent.  Returns ``True`` when the worker
+        actually finished within ``timeout`` — callers that share state
+        with the worker (e.g. the serving layer's cache flush) must check
+        this before touching it.
         """
         with self._cond:
             self._closed = True

@@ -348,7 +348,6 @@ class _ServingMode:
             "max_batch": max_batch,
             "workers": workers,
             "backend": backend,
-            "frontend": self.service.frontend,
             "cpu_count": multiprocessing.cpu_count() or 1,
         }
         if self.route_models:

@@ -1,12 +1,11 @@
 """A ``selectors``-based event-loop HTTP front-end for the scan service.
 
-The thread-per-connection front-end (`http.server`) spends one OS thread —
-stack, scheduler slot, GIL churn — per open connection, which caps how
-many mostly-idle keep-alive clients one process can hold.  This module
-replaces it with the classic single-threaded reactor: one
-:mod:`selectors` loop owns every socket (non-blocking accept, read and
-write), parses HTTP/1.1 with keep-alive and pipelining, and hands each
-complete request to the :class:`~repro.serve.server.ScanService`.  Scan
+The scan service's one HTTP front-end is the classic single-threaded
+reactor: rather than spend an OS thread — stack, scheduler slot, GIL
+churn — per open connection, one :mod:`selectors` loop owns every socket
+(non-blocking accept, read and write), parses HTTP/1.1 with keep-alive
+and pipelining, and hands each complete request to the
+:class:`~repro.serve.server.ScanService`.  Scan
 requests are answered **asynchronously**: the service submits them to a
 micro-batch worker and the completion is posted back to the loop through
 a queue plus self-pipe wakeup, so the loop never blocks on inference and
@@ -60,9 +59,8 @@ DEFAULT_REQUEST_TIMEOUT_S = 10.0
 #: nothing in flight) is kept before the loop reclaims it.
 DEFAULT_IDLE_TIMEOUT_S = 120.0
 
-#: Listen backlog.  The thread-per-connection server used 128; the event
-#: loop accepts in a tight non-blocking loop, so the backlog only needs
-#: to absorb a burst between two ``select`` wakeups.
+#: Listen backlog.  The loop accepts in a tight non-blocking loop, so the
+#: backlog only needs to absorb a burst between two ``select`` wakeups.
 DEFAULT_BACKLOG = 1024
 
 _MAX_LINE_BYTES = 65536

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..faults import RELOAD_PROBE_TTL_S
 from ..features.image import DEFAULT_IMAGE_SIZE
-from ..engine.artifacts import MANIFEST_NAME, load_detector, prepare_quantized_state
+from ..engine.artifacts import MANIFEST_NAME, load_detector
 from ..engine.cache import ScanCache
 from ..engine.feature_store import FeatureStore, default_feature_store_dir
 from ..engine.scan import ScanEngine
@@ -126,10 +126,7 @@ class ModelRegistry:
         restores a stat per probe; :meth:`reload` always bypasses it.
     backend:
         Inference compute backend every loaded engine runs
-        (:func:`repro.nn.available_backends` lists the choices).  For
-        ``int8`` the quantized-weight sidecar is prepared in the artifact
-        directory at load time, so hot reloads of a recalibrated-but-
-        identical-weights model reuse it.
+        (:func:`repro.nn.available_backends` lists the choices).
     """
 
     def __init__(
@@ -200,9 +197,6 @@ class ModelRegistry:
             if self.cache_dir is not None
             else None
         )
-        quant_state = None
-        if self.backend == "int8":
-            quant_state = prepare_quantized_state(model, artifact_path, fingerprint)
         engine = ScanEngine(
             model,
             fingerprint=fingerprint,
@@ -210,7 +204,6 @@ class ModelRegistry:
             feature_store=self.feature_store,
             image_size=self.image_size,
             backend=self.backend,
-            quant_state=quant_state,
         )
         return RegisteredModel(
             engine=engine,

@@ -35,25 +35,23 @@ a sampled slice of the same traffic; once its triage-agreement rate
 clears the configured threshold over enough designs it is auto-promoted
 to champion (see :mod:`repro.serve.rollout`).
 
-Two front-ends serve the HTTP (``frontend=``): the default
-``"eventloop"`` — a single-threaded :mod:`selectors` reactor
+The HTTP front-end is a single-threaded :mod:`selectors` reactor
 (:mod:`repro.serve.eventloop`) that holds thousands of keep-alive
-connections without a thread apiece and completes scans asynchronously —
-and ``"threaded"``, the classic stdlib thread-per-connection server.
-Both keep graceful drain (every accepted request is answered before the
-process exits) and hot reload.  See ``docs/SERVING.md`` for the full API
-reference.
+connections without a thread apiece; :meth:`ScanService.dispatch` routes
+each parsed request, and scans complete asynchronously from their lane's
+batch worker.  Shutdown drains gracefully (every accepted request is
+answered before the process exits) and models hot-reload.  See
+``docs/SERVING.md`` for the full API reference.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
-import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -155,17 +153,6 @@ _COVERAGE_ALARM = REGISTRY.gauge(
 
 class RequestError(ValueError):
     """A client-side problem with a request (maps to HTTP 400)."""
-
-
-def _json_bytes(payload: Dict[str, Any]) -> bytes:
-    """Serialise a response payload: compact separators, deterministic keys.
-
-    Compact (no indent) because responses are on the hot path — the same
-    record dicts as the CLI's results JSON, just without pretty-printing.
-    """
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
 
 
 def _wants_prometheus(path: str, headers: Mapping[str, str]) -> bool:
@@ -288,14 +275,10 @@ class ScanService:
         :class:`repro.serve.rollout.RolloutController`.
     host / port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`).
-    frontend:
-        ``"eventloop"`` (default) — the single-threaded ``selectors``
-        reactor — or ``"threaded"`` — stdlib thread-per-connection.
     request_timeout_s / idle_timeout_s:
         Event-loop front-end clocks: how long a partial request may
         dribble in (slow-loris guard) and how long an idle keep-alive
-        connection is kept.  Ignored by the threaded front-end, which
-        uses its per-read socket timeout.
+        connection is kept.
     batch_window_s:
         Micro-batch window — how long a lane's batch worker holds a batch
         open for stragglers after the first request arrives.
@@ -324,7 +307,7 @@ class ScanService:
         response critical path, and always on shutdown).
     backend:
         Inference compute backend for every forward pass the service runs
-        (``numpy`` golden float64, ``fused_f32``, ``int8``); reported by
+        (``numpy`` golden float64 or ``fused_f32``); reported by
         ``GET /metrics`` as ``backend`` / ``backend_dtype``.
     trace_dir:
         When set, the service records structured spans (batch execution
@@ -347,9 +330,7 @@ class ScanService:
     max_pipelined_requests / max_outbuf_bytes:
         Event-loop per-connection budgets (pipelined request backlog and
         response out-buffer bytes); see
-        :class:`repro.serve.eventloop.EventLoopFrontend`.  Ignored by the
-        threaded front-end, whose one-thread-per-connection model already
-        serialises each connection.
+        :class:`repro.serve.eventloop.EventLoopFrontend`.
     """
 
     def __init__(
@@ -373,7 +354,6 @@ class ScanService:
         promote_threshold: float = DEFAULT_PROMOTE_THRESHOLD,
         min_shadow_designs: int = DEFAULT_MIN_SHADOW_DESIGNS,
         shadow_sample: float = DEFAULT_SHADOW_SAMPLE,
-        frontend: str = "eventloop",
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
         idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
         trace_dir: Optional[Union[str, Path]] = None,
@@ -391,13 +371,10 @@ class ScanService:
             artifacts = {DEFAULT_MODEL_NAME: artifact}  # type: ignore[dict-item]
         if not artifacts:
             raise ValueError("'artifacts' must name at least one model")
-        if frontend not in ("eventloop", "threaded"):
-            raise ValueError(f"unknown frontend {frontend!r}")
         self.workers = workers
         self.allow_paths = allow_paths
         self.flush_every = max(1, flush_every)
         self.backend = backend
-        self.frontend = frontend
         self.max_queue_depth = max_queue_depth
         self.metrics = ServiceMetrics()
         self.registry = ModelRegistry(
@@ -451,22 +428,17 @@ class ScanService:
             )
         # The front-end binds before any batcher starts its worker
         # thread: a bind failure (port in use) must not leak threads.
-        self._httpd: Optional[_ScanHTTPServer] = None
-        self._loop: Optional[EventLoopFrontend] = None
-        if frontend == "threaded":
-            self._httpd = _ScanHTTPServer((host, port), _ScanRequestHandler, self)
-        else:
-            self._loop = EventLoopFrontend(
-                host,
-                port,
-                self,
-                max_body_bytes=MAX_BODY_BYTES,
-                request_timeout_s=request_timeout_s,
-                idle_timeout_s=idle_timeout_s,
-                max_outbuf_bytes=max_outbuf_bytes,
-                max_pipelined_requests=max_pipelined_requests,
-                on_reject=self.metrics.observe_rejected,
-            )
+        self._loop = EventLoopFrontend(
+            host,
+            port,
+            self,
+            max_body_bytes=MAX_BODY_BYTES,
+            request_timeout_s=request_timeout_s,
+            idle_timeout_s=idle_timeout_s,
+            max_outbuf_bytes=max_outbuf_bytes,
+            max_pipelined_requests=max_pipelined_requests,
+            on_reject=self.metrics.observe_rejected,
+        )
         for lane in self._lanes.values():
             lane.batcher = MicroBatcher(
                 self._make_scan_fn(lane),
@@ -478,7 +450,6 @@ class ScanService:
                 # not before: requesters never wait on disk.
                 after_batch=self._make_after_batch(lane),
             )
-        self._thread: Optional[threading.Thread] = None
         self._shutdown_lock = threading.Lock()
         self._closed = False
 
@@ -486,16 +457,12 @@ class ScanService:
     @property
     def host(self) -> str:
         """The bound host."""
-        if self._loop is not None:
-            return self._loop.host
-        return self._httpd.server_address[0]  # type: ignore[union-attr]
+        return self._loop.host
 
     @property
     def port(self) -> int:
         """The bound port (resolved even when constructed with ``port=0``)."""
-        if self._loop is not None:
-            return self._loop.port
-        return self._httpd.server_address[1]  # type: ignore[union-attr]
+        return self._loop.port
 
     # -- model accessors -----------------------------------------------------
     @property
@@ -695,7 +662,9 @@ class ScanService:
         """Parse the ``X-Repro-Deadline-Ms`` header into a :class:`Deadline`.
 
         ``None`` without the header; :class:`RequestError` when its value
-        is not a positive number of milliseconds.
+        is not a positive number of milliseconds.  Non-finite values
+        (``nan``, ``inf``, or ``1e400``, which overflows to ``inf``) are
+        rejected too: none of them names a deadline that can expire.
         """
         raw = headers.get(DEADLINE_HEADER)
         if raw is None:
@@ -706,7 +675,7 @@ class ScanService:
             raise RequestError(
                 f"invalid {DEADLINE_HEADER} header: {raw!r} is not a number"
             ) from exc
-        if ms <= 0:
+        if not math.isfinite(ms) or ms <= 0:
             raise RequestError(
                 f"invalid {DEADLINE_HEADER} header: must be a positive "
                 "number of milliseconds"
@@ -731,44 +700,6 @@ class ScanService:
             },
         }
 
-    def handle_scan(
-        self,
-        payload: Any,
-        model: Optional[str] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Dict[str, Any]:
-        """Serve one ``POST /scan`` body synchronously (threaded front-end).
-
-        ``model`` is the routing header value, if any; the body's
-        ``model`` field wins over it.  Blocks until the micro-batch ran.
-        Raises :class:`BatcherOverloaded` when the lane's queue is at its
-        admission bound and :class:`DeadlineExceeded` when ``deadline``
-        expired before the scan ran.
-        """
-        name = self._route(payload, model)
-        sources, confidence = parse_scan_payload(payload, allow_paths=self.allow_paths)
-        if deadline is not None and deadline.expired():
-            raise DeadlineExceeded(DEADLINE_ERROR)
-        t_start = time.perf_counter()
-        result = self._lanes[name].batcher.submit(
-            sources, confidence=confidence, deadline=deadline
-        )
-        seconds = time.perf_counter() - t_start
-        self.metrics.observe_scan(
-            n_designs=len(sources),
-            n_cache_hits=result.n_cache_hits,
-            n_errors=result.n_errors,
-            seconds=seconds,
-            model=name,
-        )
-        self._observe_drift(name, result)
-        if self._tracer is not None:
-            self._tracer.record(
-                "serve/scan", seconds, model=name, designs=len(sources)
-            )
-        self._maybe_shadow(name, sources, confidence, result)
-        return self._scan_response(name, sources, result)
-
     def handle_scan_async(
         self,
         payload: Any,
@@ -776,9 +707,11 @@ class ScanService:
         model: Optional[str] = None,
         deadline: Optional[Deadline] = None,
     ) -> None:
-        """Serve one ``POST /scan`` body without blocking (event loop).
+        """Serve one ``POST /scan`` body without blocking.
 
-        Validation and admission problems raise synchronously
+        ``model`` is the routing header value, if any; the body's
+        ``model`` field wins over it.  Validation and admission problems
+        raise synchronously
         (:class:`RequestError`, :class:`BatcherClosed`,
         :class:`BatcherOverloaded`, :class:`DeadlineExceeded`); otherwise
         the request is enqueued and ``respond(status, payload)`` fires
@@ -934,7 +867,7 @@ class ScanService:
             "model": models[champion],
             "champion": champion,
             "models": models,
-            "frontend": self.frontend,
+            "frontend": "eventloop",
             "rollout": self._rollout.state if self._rollout is not None else None,
             "batching": {
                 "window_ms": self.batcher.batch_window_s * 1000.0,
@@ -948,9 +881,10 @@ class ScanService:
 
         The snapshot is augmented with ``backend`` (the active compute
         backend's name), ``backend_dtype`` (the dtype its forward pass
-        runs in), ``frontend``, ``champion``, and — when a rollout is
-        active — the full ``rollout`` status (state, agreement rate,
-        disagreement sample) an operator needs to judge a challenger.
+        runs in), ``frontend`` (always ``"eventloop"``), ``champion``, and
+        — when a rollout is active — the full ``rollout`` status (state,
+        agreement rate, disagreement sample) an operator needs to judge a
+        challenger.
         ``drift`` carries each model's coverage-monitor snapshot and
         ``scheduler`` the process-wide shard retry/worker-death counters
         (only nonzero when scheduler scans ran in this process).
@@ -960,7 +894,7 @@ class ScanService:
         snapshot = self.metrics.snapshot()
         snapshot["backend"] = self.backend
         snapshot["backend_dtype"] = get_backend(self.backend).dtype
-        snapshot["frontend"] = self.frontend
+        snapshot["frontend"] = "eventloop"
         snapshot["champion"] = self.champion
         snapshot["rollout"] = (
             self._rollout.snapshot() if self._rollout is not None else None
@@ -1106,23 +1040,12 @@ class ScanService:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "ScanService":
         """Serve in a background thread; returns self (for chaining)."""
-        if self._loop is not None:
-            self._loop.start()
-        else:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,  # type: ignore[union-attr]
-                kwargs={"poll_interval": 0.1},
-                name="repro-serve-http",
-            )
-            self._thread.start()
+        self._loop.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown` is called."""
-        if self._loop is not None:
-            self._loop.run()
-        else:
-            self._httpd.serve_forever(poll_interval=0.1)  # type: ignore[union-attr]
+        self._loop.run()
 
     def _close_batchers(self) -> bool:
         """Drain every lane's batcher; True when all workers finished."""
@@ -1146,27 +1069,8 @@ class ScanService:
             if self._closed:
                 return
             self._closed = True
-        if self._loop is not None:
-            self._loop.begin_drain()  # stop accepting connections
-            drained = self._close_batchers()  # drain queued scans
-            if drained:
-                self.registry.flush_caches()
-            else:
-                logger.warning(
-                    "batch worker did not drain in time; "
-                    "skipping shutdown cache flush"
-                )
-            if self._tracer is not None:
-                self._tracer.flush()  # the last batch's spans hit disk
-            # The loop keeps running through the drain above, writing out
-            # each completed response; now flush what is left and stop.
-            self._loop.shutdown(grace_s=2.0)
-            return
-        httpd = self._httpd
-        assert httpd is not None
-        httpd.shutdown()  # stop the accept loop
-        httpd.closing = True  # handlers stop reusing connections
-        drained = self._close_batchers()  # drain queued scans (the cache writers)
+        self._loop.begin_drain()  # stop accepting connections
+        drained = self._close_batchers()  # drain queued scans
         if drained:
             self.registry.flush_caches()
         else:
@@ -1179,17 +1083,9 @@ class ScanService:
             )
         if self._tracer is not None:
             self._tracer.flush()  # the last batch's spans hit disk
-        # Grace period for handlers to finish writing in-flight responses,
-        # then force-close whatever is left (idle keep-alive connections
-        # parked in their read timeout would otherwise pin the join).
-        deadline = time.monotonic() + 2.0
-        while httpd.open_connection_count() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        httpd.force_close_connections()
-        httpd.server_close()  # join handler threads, release the socket
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        # The loop keeps running through the drain above, writing out
+        # each completed response; now flush what is left and stop.
+        self._loop.shutdown(grace_s=2.0)
 
     def __enter__(self) -> "ScanService":
         """Context-manager entry: start serving in the background."""
@@ -1198,335 +1094,3 @@ class ScanService:
     def __exit__(self, *exc_info: object) -> None:
         """Context-manager exit: graceful shutdown."""
         self.shutdown()
-
-
-class _ScanHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its :class:`ScanService`.
-
-    Handler threads are non-daemonic and joined on ``server_close`` — that
-    join (after the batchers drained) is what makes shutdown *graceful*: a
-    request that was already accepted always gets its response before the
-    process exits.  Open connections are tracked so shutdown can tell
-    keep-alive clients to go away: handlers stop reusing connections once
-    ``closing`` is set, and connections still open after the grace period
-    are force-closed (otherwise one idle keep-alive poller would pin the
-    join until its read timeout — or forever, if it keeps polling).
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    allow_reuse_address = True
-    # socketserver's default listen backlog is 5; a burst of concurrent
-    # clients connecting at once would overflow it and stall on SYN
-    # retransmits.
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        handler: type,
-        service: "ScanService",
-    ) -> None:
-        self.service = service
-        self.closing = False
-        self._conn_lock = threading.Lock()
-        self._connections: set = set()
-        super().__init__(address, handler)
-
-    def track_connection(self, connection: Any) -> None:
-        """Remember an open connection (called from handler setup)."""
-        with self._conn_lock:
-            self._connections.add(connection)
-
-    def untrack_connection(self, connection: Any) -> None:
-        """Forget a finished connection (called from handler teardown)."""
-        with self._conn_lock:
-            self._connections.discard(connection)
-
-    def open_connection_count(self) -> int:
-        """How many client connections are currently open."""
-        with self._conn_lock:
-            return len(self._connections)
-
-    def force_close_connections(self) -> None:
-        """Unblock every remaining handler by shutting its socket down.
-
-        A handler parked in ``readline`` on an idle keep-alive connection
-        wakes immediately with EOF and exits its loop (``closing`` makes
-        it non-reusable), letting ``server_close``'s join complete.
-        """
-        with self._conn_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already gone
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        """Log handler errors via ``logging`` (quietly during shutdown)."""
-        if self.closing:
-            # Force-closed sockets make in-flight writes raise; that is
-            # the mechanism, not a bug worth a traceback.
-            logger.debug("connection %s closed during shutdown", client_address)
-            return
-        logger.exception("error handling request from %s", client_address)
-
-
-class _HeaderDict(dict):
-    """Case-insensitive read view over headers parsed by the fast path."""
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Look a header up regardless of the caller's capitalisation."""
-        return dict.get(self, key.lower(), default)
-
-
-class _ScanRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to the service; all bodies are JSON."""
-
-    server: _ScanHTTPServer
-    protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
-    timeout = 60.0
-    # Small request/response writes must not sit in Nagle's buffer waiting
-    # for a delayed ACK (a classic ~40ms stall per round trip on loopback).
-    disable_nagle_algorithm = True
-
-    # -- plumbing ------------------------------------------------------------
-    def setup(self) -> None:
-        """Register the connection so shutdown can reach it."""
-        super().setup()
-        self.server.track_connection(self.connection)
-
-    def finish(self) -> None:
-        """Deregister the connection before the stdlib teardown."""
-        self.server.untrack_connection(self.connection)
-        super().finish()
-
-    def handle_one_request(self) -> None:
-        """Minimal request parsing for the narrow HTTP subset served here.
-
-        ``BaseHTTPRequestHandler`` routes headers through ``email.parser``,
-        which costs ~0.1ms per request — measurable at the request rates
-        the micro-batching service targets.  This override parses the
-        request line and headers directly, supporting exactly what the
-        service (and its clients) speak: ``Content-Length``-framed JSON
-        bodies and HTTP/1.1 keep-alive.  Anything malformed closes the
-        connection rather than guessing.
-        """
-        try:
-            raw_requestline = self.rfile.readline(65537)
-            if not raw_requestline or len(raw_requestline) > 65536:
-                self.close_connection = True
-                return
-            self.raw_requestline = raw_requestline
-            self.requestline = raw_requestline.decode("latin-1").rstrip("\r\n")
-            words = raw_requestline.split()
-            if len(words) != 3:
-                self.close_connection = True
-                return
-            command = words[0].decode("latin-1")
-            self.command = command
-            self.path = words[1].decode("latin-1")
-            self.request_version = version = words[2].decode("latin-1")
-            if not version.startswith("HTTP/"):
-                self.close_connection = True
-                return
-            headers: Dict[str, str] = {}
-            header_lines = 0
-            while True:
-                line = self.rfile.readline(65537)
-                header_lines += 1
-                if len(line) > 65536 or header_lines > 100:
-                    # Same bounds the stdlib parser enforces (counting
-                    # header *lines*, so repeated names cannot dodge the
-                    # cap): an over-long line or an unbounded header
-                    # stream is hostile input, not something to buffer.
-                    self.close_connection = True
-                    return
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = line.partition(b":")
-                headers[key.decode("latin-1").strip().lower()] = value.decode(
-                    "latin-1"
-                ).strip()
-            self.headers = _HeaderDict(headers)  # type: ignore[assignment]
-            self.close_connection = (
-                version == "HTTP/1.0"
-                or headers.get("connection", "").lower() == "close"
-            )
-            if headers.get("expect", "").lower() == "100-continue":
-                # curl (and others) withhold bodies >1 KiB until the
-                # interim 100 arrives; not answering would stall every
-                # realistic-size scan request by the client's Expect
-                # timeout (~1s for curl).
-                self.send_response_only(100)
-                self.end_headers()
-            method = getattr(self, f"do_{command}", None)
-            if method is None or not command.isalpha():
-                # The declared body (if any) was never consumed; do not
-                # let the next request on this connection read stale
-                # bytes.
-                self.close_connection = True
-                self._respond_error(501, f"unsupported method: {command}")
-                return
-            method()
-            self.wfile.flush()
-            if self.server.closing:
-                # Shutdown in progress: answer the request that was
-                # already in flight, then stop reusing the connection.
-                self.close_connection = True
-        except TimeoutError:
-            self.close_connection = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route per-request lines to ``logging`` instead of stderr."""
-        logger.debug("%s - %s", self.address_string(), format % args)
-
-    def _respond(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Write one JSON response with correct framing for keep-alive."""
-        body = _json_bytes(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if extra_headers:
-            for key, value in extra_headers.items():
-                self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_raw(self, status: int, raw: RawResponse) -> None:
-        """Write one pre-encoded response (the Prometheus exposition)."""
-        self.send_response(status)
-        self.send_header("Content-Type", raw.content_type)
-        self.send_header("Content-Length", str(len(raw.body)))
-        self.end_headers()
-        self.wfile.write(raw.body)
-
-    def _respond_error(self, status: int, message: str) -> None:
-        self._respond(status, {"error": message})
-
-    def _read_json_body(self) -> Any:
-        """Parse the request body as JSON (raises :class:`RequestError`).
-
-        When the body is rejected *without being consumed* (bad or
-        oversized ``Content-Length``), the connection is marked for close
-        — leaving unread bytes on a keep-alive stream would corrupt the
-        next request on it.
-        """
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError) as exc:
-            self.close_connection = True  # body length unknown: cannot drain
-            raise RequestError("invalid Content-Length header") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True  # body left unread on the socket
-            raise RequestError(f"request body must be 0..{MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise RequestError(f"request body is not valid JSON: {exc}") from exc
-
-    # -- routing -------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        """Dispatch ``GET /healthz`` and ``GET /metrics``."""
-        service = self.server.service
-        route = self.path.split("?", 1)[0]
-        if route == "/healthz":
-            service.metrics.observe_request(route)
-            self._respond(200, service.handle_healthz())
-        elif route == "/metrics":
-            service.metrics.observe_request(route)
-            if _wants_prometheus(self.path, self.headers):
-                self._respond_raw(200, RawResponse(body=service.render_prometheus()))
-            else:
-                self._respond(200, service.handle_metrics())
-        else:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(404, f"unknown route: GET {route}")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Dispatch ``POST /scan``, ``/reload`` and ``/promote``.
-
-        The body is always consumed (even for routes that ignore it):
-        leaving unread bytes on a keep-alive connection would corrupt the
-        next request on it.
-        """
-        service = self.server.service
-        route = self.path.split("?", 1)[0]
-        try:
-            body = self._read_json_body()
-        except RequestError as exc:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(400, str(exc))
-            return
-        if route == "/scan":
-            self._handle_scan(service, route, body)
-        elif route == "/reload":
-            try:
-                model = body.get("model") if isinstance(body, dict) else None
-                payload = service.handle_reload(model)
-            except RequestError as exc:
-                service.metrics.observe_request(route, error=True)
-                self._respond_error(400, str(exc))
-                return
-            except Exception as exc:  # a failed reload answers 500, never kills the handler
-                service.metrics.observe_request(route, error=True)
-                self._respond_error(500, f"reload failed: {exc}")
-                return
-            service.metrics.observe_request(route)
-            self._respond(200, payload)
-        elif route == "/promote":
-            try:
-                payload = service.handle_promote()
-            except RequestError as exc:
-                service.metrics.observe_request(route, error=True)
-                self._respond_error(400, str(exc))
-                return
-            service.metrics.observe_request(route)
-            self._respond(200, payload)
-        else:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(404, f"unknown route: POST {route}")
-
-    def _handle_scan(self, service: ScanService, route: str, body: Any) -> None:
-        """``POST /scan`` with the error-to-status mapping in one place."""
-        try:
-            payload = service.handle_scan(
-                body,
-                model=self.headers.get(MODEL_HEADER),
-                deadline=service.deadline_from_headers(self.headers),
-            )
-        except RequestError as exc:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(400, str(exc))
-        except BatcherOverloaded as exc:
-            service.metrics.observe_rejected("overload")
-            service.metrics.observe_request(route, error=True)
-            self._respond(
-                429,
-                {"error": str(exc)},
-                {"Retry-After": str(DEFAULT_RETRY_AFTER_S)},
-            )
-        except DeadlineExceeded as exc:
-            service.metrics.observe_rejected("deadline")
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(504, str(exc))
-        except BatcherClosed as exc:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(503, str(exc))
-        except (MicroBatchError, TimeoutError) as exc:
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(500, str(exc))
-        except Exception as exc:  # never leak a traceback to the socket
-            logger.exception("unhandled error serving POST /scan")
-            service.metrics.observe_request(route, error=True)
-            self._respond_error(500, f"{type(exc).__name__}: {exc}")
-        else:
-            service.metrics.observe_request(route)
-            self._respond(200, payload)

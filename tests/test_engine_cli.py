@@ -559,27 +559,6 @@ class TestBackendCli:
                 - b["decision"]["probability_infected"]
             ) < 1e-4
 
-    def test_int8_backend_caches_sidecar_and_scans(self, artifact, tmp_path):
-        sidecar = artifact / "quantized_int8.npz"
-        if sidecar.exists():
-            sidecar.unlink()
-        results = tmp_path / "int8.json"
-        code = main(
-            [
-                "scan",
-                "--artifact", str(artifact),
-                "--generate", "4",
-                "--no-cache",
-                "--backend", "int8",
-                "--output", str(results),
-            ]
-        )
-        assert code == 0
-        assert sidecar.is_file()  # per-channel scales cached beside the model
-        data = json.loads(results.read_text())
-        assert data["profile"]["backend"] == "int8"
-        assert all(record["decision"] is not None for record in data["records"])
-
     def test_profile_names_active_backend_and_infer_stages(
         self, artifact, tmp_path, capsys
     ):

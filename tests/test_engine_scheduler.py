@@ -81,6 +81,22 @@ class TestParallelEqualsSerial:
         ]
         assert observed == expected
 
+    def test_pooled_fused_f32_scan_is_byte_identical(
+        self, detector, scan_batch, tmp_path
+    ):
+        artifact = save_detector(detector, tmp_path / "artifact")
+        serial = ScanEngine.from_artifact(artifact, backend="fused_f32").scan_sources(
+            scan_batch, workers=1
+        )
+        with ScanScheduler.from_artifact(
+            artifact, jobs=2, shard_size=7, backend="fused_f32"
+        ) as scheduler:
+            report = scheduler.scan_sources(scan_batch)
+        assert report.backend == "fused_f32"
+        assert [r.to_dict() for r in report.records] == [
+            r.to_dict() for r in serial.records
+        ]
+
     def test_front_end_errors_become_records_not_failures(self, detector, scan_batch):
         mixed = list(scan_batch[:3]) + [
             ScanSource(name="broken", source="module broken (x; endmodule")

@@ -1,4 +1,4 @@
-"""Compute-backend tests: registry, fused-f32 equivalence, int8 quantization.
+"""Compute-backend tests: registry, fused-f32 equivalence, threaded GEMM.
 
 The acceptance properties of the backend seam:
 
@@ -6,8 +6,6 @@ The acceptance properties of the backend seam:
   with a clear ``ValueError``, and accepts plugin registrations;
 * the fused float32 plan matches the float64 forward within 1e-4 on every
   supported layer type (measured slack is ~1e-7);
-* the int8 plan's exported quantization state round-trips byte-identically
-  and compiling from that state reproduces the exact same outputs;
 * scratch-buffer reuse is deterministic: repeated calls on the same plan
   return identical results;
 * the threaded GEMM path is exact (column tiling splits pure matmuls).
@@ -130,7 +128,7 @@ def misc_2d_model(rng=None) -> Sequential:
 
 class TestRegistry:
     def test_builtin_backends(self):
-        assert available_backends() == ["fused_f32", "int8", "numpy"]
+        assert available_backends() == ["fused_f32", "numpy"]
         assert DEFAULT_BACKEND == "numpy"
 
     def test_unknown_backend_raises_with_known_names(self):
@@ -144,7 +142,6 @@ class TestRegistry:
     def test_backend_dtypes(self):
         assert get_backend("numpy").dtype == "float64"
         assert get_backend("fused_f32").dtype == "float32"
-        assert get_backend("int8").dtype == "int8"
 
     def test_register_backend_plugin(self):
         sentinel = get_backend("numpy")
@@ -210,6 +207,15 @@ class TestFusedF32Equivalence:
         assert plan.backend == "fused_f32"
         assert plan.dtype == "float32"
 
+    def test_profiler_records_gemm_activation(self):
+        plan = get_backend("fused_f32").compile(paper_1d_model())
+        x = np.random.default_rng(13).standard_normal((5, 1, 32))
+        PROFILER.reset()
+        plan.predict_proba(x)
+        stages = PROFILER.snapshot()
+        for stage in ("gemm", "activation"):
+            assert stages.get(stage, 0.0) > 0.0
+
 
 class TestThreadedGemm:
     def test_large_gemm_tiled_result_is_exact(self):
@@ -229,52 +235,6 @@ class TestThreadedGemm:
         out = np.empty((4, 6), dtype=np.float32)
         fused_gemm(a, b, out)
         assert np.array_equal(out, a @ b)
-
-
-class TestInt8Backend:
-    def test_close_to_float64(self):
-        model = paper_1d_model()
-        x = np.random.default_rng(11).standard_normal((13, 1, 32))
-        plan = get_backend("int8").compile(model)
-        observed = plan.predict_proba(x)
-        expected = model.predict_proba(x)
-        # Dynamic int8 is lossy by design; sigmoid outputs stay within a
-        # few percent at these scales (triage agreement is asserted on the
-        # full pipeline in test_engine_scan.py).
-        assert np.max(np.abs(observed - expected)) < 0.1
-
-    def test_state_round_trip_is_byte_identical(self):
-        model = paper_1d_model()
-        backend = get_backend("int8")
-        state = backend.compile(model).export_state()
-        assert state  # conv + dense layers all export w_q/scale pairs
-        for key, value in state.items():
-            if key.endswith("/w_q"):
-                assert value.dtype == np.int8
-        x = np.random.default_rng(12).standard_normal((9, 1, 32))
-        from_scratch = backend.compile(model).predict_proba(x)
-        from_state = backend.compile(model, state=state).predict_proba(x)
-        assert np.array_equal(from_state, from_scratch)
-        restated = backend.compile(model, state=state).export_state()
-        assert set(restated) == set(state)
-        for key in state:
-            assert np.array_equal(restated[key], state[key])
-
-    def test_per_channel_scales_are_per_output_channel(self):
-        model = paper_1d_model()
-        state = get_backend("int8").compile(model).export_state()
-        conv_scale = state["0/scale"]
-        assert conv_scale.shape == (16,)  # one scale per output channel
-
-    def test_profiler_records_quantize_gemm_activation(self):
-        model = paper_1d_model()
-        plan = get_backend("int8").compile(model)
-        x = np.random.default_rng(13).standard_normal((5, 1, 32))
-        PROFILER.reset()
-        plan.predict_proba(x)
-        stages = PROFILER.snapshot()
-        for stage in ("quantize", "gemm", "activation"):
-            assert stages.get(stage, 0.0) > 0.0
 
 
 class TestClassifierBackendSeam:

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import pytest
 
 from repro.core.results import ScanRecord, TrojanDecision
 from repro.engine.scan import ScanReport, ScanSource
-from repro.serve.batching import BatcherClosed, MicroBatchError, MicroBatcher
+from repro.serve.batching import (
+    BatcherClosed,
+    BatchResult,
+    MicroBatchError,
+    MicroBatcher,
+)
 from repro.serve.metrics import ServiceMetrics
 
 
@@ -62,12 +66,44 @@ def _sources(*names: str) -> List[ScanSource]:
     return [ScanSource(name=n, source=f"module {n}; endmodule") for n in names]
 
 
+class _Completion:
+    """The ``on_done`` callback of one request, with a blocking wait."""
+
+    def __init__(self) -> None:
+        self._done = threading.Event()
+        self.result: Optional[BatchResult] = None
+        self.error: Optional[str] = None
+
+    def __call__(self, result: Optional[BatchResult], error: Optional[str]) -> None:
+        self.result, self.error = result, error
+        self._done.set()
+
+    def wait(self, timeout: float = 10.0) -> BatchResult:
+        """The request's result; raises ``MicroBatchError`` if it failed."""
+        assert self._done.wait(timeout), "batch result never arrived"
+        if self.error is not None:
+            raise MicroBatchError(self.error)
+        assert self.result is not None
+        return self.result
+
+
+def _submit(
+    batcher: MicroBatcher,
+    sources: Sequence[ScanSource],
+    confidence: Optional[float] = None,
+) -> _Completion:
+    """Enqueue one request through ``submit_nowait``; returns its handle."""
+    completion = _Completion()
+    batcher.submit_nowait(sources, confidence=confidence, on_done=completion)
+    return completion
+
+
 class TestSubmission:
     def test_single_submit_returns_own_records(self):
         scanner = FakeScanner()
         batcher = MicroBatcher(scanner, batch_window_s=0.0)
         try:
-            result = batcher.submit(_sources("a", "b"))
+            result = _submit(batcher, _sources("a", "b")).wait()
             assert [r.name for r in result.records] == ["a", "b"]
             assert result.batch_requests == 1
             assert result.batch_designs == 2
@@ -78,7 +114,7 @@ class TestSubmission:
         batcher = MicroBatcher(FakeScanner(), batch_window_s=0.0)
         try:
             with pytest.raises(MicroBatchError, match="at least one source"):
-                batcher.submit([])
+                _submit(batcher, [])
         finally:
             batcher.close()
 
@@ -87,14 +123,12 @@ class TestSubmission:
         scanner.release.clear()  # hold the worker so submissions queue up
         batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=16)
         try:
-            with ThreadPoolExecutor(3) as pool:
-                futures = [
-                    pool.submit(batcher.submit, _sources(*names))
-                    for names in (("a",), ("b", "c"), ("d",))
-                ]
-                time.sleep(0.05)  # let every request enqueue
-                scanner.release.set()
-                results = [f.result(timeout=10) for f in futures]
+            pending = [
+                _submit(batcher, _sources(*names))
+                for names in (("a",), ("b", "c"), ("d",))
+            ]
+            scanner.release.set()
+            results = [p.wait() for p in pending]
             assert [r.name for r in results[0].records] == ["a"]
             assert [r.name for r in results[1].records] == ["b", "c"]
             assert [r.name for r in results[2].records] == ["d"]
@@ -108,13 +142,9 @@ class TestCoalescing:
         scanner.release.clear()
         batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=16)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                futures = [
-                    pool.submit(batcher.submit, _sources(f"d{i}")) for i in range(4)
-                ]
-                time.sleep(0.05)
-                scanner.release.set()
-                results = [f.result(timeout=10) for f in futures]
+            pending = [_submit(batcher, _sources(f"d{i}")) for i in range(4)]
+            scanner.release.set()
+            results = [p.wait() for p in pending]
             # The first request may run alone (it was dequeued before the
             # others arrived), but the queued remainder must coalesce.
             assert max(r.batch_requests for r in results) >= 3
@@ -127,14 +157,10 @@ class TestCoalescing:
         scanner.release.clear()
         batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=2)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                futures = [
-                    pool.submit(batcher.submit, _sources(f"d{i}")) for i in range(4)
-                ]
-                time.sleep(0.05)
-                scanner.release.set()
-                for f in futures:
-                    f.result(timeout=10)
+            pending = [_submit(batcher, _sources(f"d{i}")) for i in range(4)]
+            scanner.release.set()
+            for p in pending:
+                p.wait()
             assert all(len(names) <= 2 for names, _ in scanner.calls)
         finally:
             batcher.close()
@@ -143,7 +169,7 @@ class TestCoalescing:
         scanner = FakeScanner()
         batcher = MicroBatcher(scanner, batch_window_s=0.0, max_batch=2)
         try:
-            result = batcher.submit(_sources("a", "b", "c", "d"))
+            result = _submit(batcher, _sources("a", "b", "c", "d")).wait()
             assert len(result.records) == 4
             assert scanner.calls[0][0] == ["a", "b", "c", "d"]
         finally:
@@ -154,14 +180,12 @@ class TestCoalescing:
         scanner.release.clear()
         batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=16)
         try:
-            with ThreadPoolExecutor(4) as pool:
-                futures = [
-                    pool.submit(batcher.submit, _sources(f"d{i}"), 0.9 if i % 2 else 0.99)
-                    for i in range(4)
-                ]
-                time.sleep(0.05)
-                scanner.release.set()
-                results = [f.result(timeout=10) for f in futures]
+            pending = [
+                _submit(batcher, _sources(f"d{i}"), 0.9 if i % 2 else 0.99)
+                for i in range(4)
+            ]
+            scanner.release.set()
+            results = [p.wait() for p in pending]
             for (names, confidence) in scanner.calls:
                 assert confidence in (0.9, 0.99)
             for i, result in enumerate(results):
@@ -173,7 +197,7 @@ class TestCoalescing:
         metrics = ServiceMetrics()
         batcher = MicroBatcher(FakeScanner(), batch_window_s=0.0, metrics=metrics)
         try:
-            batcher.submit(_sources("a", "b", "c"))
+            _submit(batcher, _sources("a", "b", "c")).wait()
             snapshot = metrics.snapshot()
             assert snapshot["batches_total"] == 1
             assert snapshot["batched_designs_total"] == 3
@@ -188,15 +212,11 @@ class TestFailuresAndLifecycle:
         scanner.release.clear()
         batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=16)
         try:
-            with ThreadPoolExecutor(2) as pool:
-                futures = [
-                    pool.submit(batcher.submit, _sources(f"d{i}")) for i in range(2)
-                ]
-                time.sleep(0.05)
-                scanner.release.set()
-                for f in futures:
-                    with pytest.raises(MicroBatchError, match="model exploded"):
-                        f.result(timeout=10)
+            pending = [_submit(batcher, _sources(f"d{i}")) for i in range(2)]
+            scanner.release.set()
+            for p in pending:
+                with pytest.raises(MicroBatchError, match="model exploded"):
+                    p.wait()
         finally:
             batcher.close()
 
@@ -206,34 +226,25 @@ class TestFailuresAndLifecycle:
         try:
             scanner.fail = True
             with pytest.raises(MicroBatchError):
-                batcher.submit(_sources("a"))
+                _submit(batcher, _sources("a")).wait()
             scanner.fail = False
-            assert [r.name for r in batcher.submit(_sources("b")).records] == ["b"]
+            assert [r.name for r in _submit(batcher, _sources("b")).wait().records] == ["b"]
         finally:
             batcher.close()
 
     def test_close_drains_queued_requests(self):
         scanner = FakeScanner(delay_s=0.05)
         batcher = MicroBatcher(scanner, batch_window_s=0.0, max_batch=1)
-        results: List[Optional[object]] = [None, None]
-
-        def submit(i: int) -> None:
-            results[i] = batcher.submit(_sources(f"d{i}"))
-
-        threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        time.sleep(0.02)  # both requests in flight/queued
+        pending = [_submit(batcher, _sources(f"d{i}")) for i in range(2)]
+        time.sleep(0.02)  # one request mid-batch, the other still queued
         batcher.close()
-        for t in threads:
-            t.join(timeout=10)
-        assert all(r is not None for r in results)
+        assert [p.wait(timeout=0).records[0].name for p in pending] == ["d0", "d1"]
 
     def test_submit_after_close_raises(self):
         batcher = MicroBatcher(FakeScanner(), batch_window_s=0.0)
         batcher.close()
         with pytest.raises(BatcherClosed):
-            batcher.submit(_sources("a"))
+            _submit(batcher, _sources("a"))
 
     def test_close_is_idempotent(self):
         batcher = MicroBatcher(FakeScanner(), batch_window_s=0.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 CombinationFn = Callable[[np.ndarray], np.ndarray]
 
@@ -37,18 +37,27 @@ def _validate(p_values: np.ndarray) -> np.ndarray:
 
 
 def fisher_combination(p_values: np.ndarray) -> np.ndarray:
-    """Fisher's method: ``-2 * sum(log p)`` is chi-squared with 2N dof."""
+    """Fisher's method: ``-2 * sum(log p)`` is chi-squared with 2N dof.
+
+    ``chdtrc`` is the chi-squared survival ufunc behind
+    ``scipy.stats.chi2.sf``, which returns 1 for a statistic at or below 0;
+    clamping at 0 gives the same bits without importing ``scipy.stats``.
+    """
     p = _validate(p_values)
     statistic = -2.0 * np.log(p).sum(axis=1)
-    return stats.chi2.sf(statistic, df=2 * p.shape[1])
+    return special.chdtrc(2 * p.shape[1], np.maximum(statistic, 0.0))
 
 
 def stouffer_combination(p_values: np.ndarray) -> np.ndarray:
-    """Stouffer's method: sum of z-scores, renormalised."""
+    """Stouffer's method: sum of z-scores, renormalised.
+
+    ``-ndtri(q)`` and ``ndtr(-z)`` are the ufuncs behind
+    ``scipy.stats.norm.isf`` and ``norm.sf``.
+    """
     p = _validate(p_values)
-    z = stats.norm.isf(np.clip(p, _EPS, 1 - 1e-12))
+    z = -special.ndtri(np.clip(p, _EPS, 1 - 1e-12))
     combined = z.sum(axis=1) / np.sqrt(p.shape[1])
-    return stats.norm.sf(combined)
+    return special.ndtr(-combined)
 
 
 def arithmetic_mean_combination(p_values: np.ndarray) -> np.ndarray:

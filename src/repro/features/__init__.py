@@ -7,7 +7,12 @@
   :mod:`repro.features.image`).
 """
 
-from .graph_builder import DataFlowGraphBuilder, build_dataflow_graph, graph_summary
+from .graph_builder import (
+    DataFlowGraph,
+    DataFlowGraphBuilder,
+    build_dataflow_graph,
+    graph_summary,
+)
 from .graph_features import (
     GRAPH_FEATURE_NAMES,
     extract_graph_features,
@@ -33,6 +38,7 @@ from .tabular import (
 
 __all__ = [
     "DEFAULT_IMAGE_SIZE",
+    "DataFlowGraph",
     "DataFlowGraphBuilder",
     "GRAPH_FEATURE_NAMES",
     "MODALITIES",

@@ -16,13 +16,15 @@ trigger wire into otherwise stable output cones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import TYPE_CHECKING, Dict, List, Union
 
-import networkx as nx
 import numpy as np
 
 from ..hdl import ast_nodes as ast
-from .graph_builder import build_dataflow_graph
+from .graph_builder import DataFlowGraph, build_dataflow_graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the references import it
+    import networkx as nx
 
 #: Number of histogram bins used for the degree profile.
 _DEGREE_BINS = 6
@@ -73,6 +75,8 @@ def _leading_eigenvalues(laplacian: np.ndarray) -> np.ndarray:
 
 def _spectral_summary(undirected: nx.Graph) -> np.ndarray:
     """Leading eigenvalues of the normalised Laplacian of the undirected view."""
+    import networkx as nx
+
     if undirected.number_of_nodes() < 2:
         return np.zeros(_SPECTRAL_COMPONENTS)
     return _leading_eigenvalues(nx.normalized_laplacian_matrix(undirected).toarray())
@@ -80,6 +84,8 @@ def _spectral_summary(undirected: nx.Graph) -> np.ndarray:
 
 def _longest_path_estimate(graph: nx.DiGraph) -> float:
     """Longest path in the acyclic condensation (logic-depth proxy)."""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return 0.0
     condensation = nx.condensation(graph)
@@ -92,9 +98,11 @@ def _extract_graph_features_reference(graph: nx.DiGraph) -> Dict[str, float]:
     """Golden networkx implementation of :func:`extract_graph_features`.
 
     Kept as the reference the vectorized fast path is verified against
-    (``tests/test_features_graph.py``), mirroring the golden-kernel pattern
-    of :mod:`repro.nn._reference`.
+    (``tests/test_features_graph.py``, on :meth:`DataFlowGraph.to_networkx`
+    graphs), mirroring the golden-kernel pattern of :mod:`repro.nn._reference`.
     """
+    import networkx as nx
+
     n_nodes = graph.number_of_nodes()
     n_edges = graph.number_of_edges()
     in_degrees = [d for _, d in graph.in_degree()]
@@ -171,14 +179,14 @@ def _extract_graph_features_reference(graph: nx.DiGraph) -> Dict[str, float]:
     return features
 
 
-def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
+def extract_graph_features(graph: DataFlowGraph) -> Dict[str, float]:
     """Structural feature dictionary for one data-flow graph.
 
-    Works from edge arrays taken in one pass over ``graph.edges``: bincounts
-    give the degree profile, isolated nodes, self-loops and control roles;
-    union-find and an iterative Tarjan count components, and an integer DP
-    over the SCC condensation gives the logic depth; an exact integer
-    bitset kernel counts triangles (:func:`_triangle_paths`).  The only
+    Works from the graph's edge arrays: bincounts give the degree profile,
+    isolated nodes, self-loops and control roles; union-find and an
+    iterative Tarjan count components, and an integer DP over the SCC
+    condensation gives the logic depth; an exact integer bitset kernel
+    counts triangles (:func:`_triangle_paths`).  The only
     ``n x n`` arrays are the undirected weight matrix and its normalised
     Laplacian, which ``eigvalsh`` needs (:func:`_laplacian_spectrum`).
     Produces bit-identical values to :func:`_extract_graph_features_reference`
@@ -188,34 +196,22 @@ def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
     """
     n_nodes = graph.number_of_nodes()
     if n_nodes == 0:
-        return _extract_graph_features_reference(graph)
+        # Every statistic of the empty graph, the reference's included, is 0.
+        return dict.fromkeys(GRAPH_FEATURE_NAMES, 0.0)
 
-    # Edge arrays in ``graph.edges`` order: by source in node order, which
-    # is also the order ``to_undirected`` merges reciprocal edges in.
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    source_list: List[int] = []
-    target_list: List[int] = []
-    weight_list: List[float] = []
-    control_list: List[bool] = []
-    for source, target, data in graph.edges(data=True):
-        source_list.append(index[source])
-        target_list.append(index[target])
-        weight_list.append(data.get("weight", 1.0))
-        control_list.append(data.get("kind") == "control")
-    n_edges = len(source_list)
-    sources = np.array(source_list, dtype=np.intp)
-    targets = np.array(target_list, dtype=np.intp)
-    control = np.array(control_list, dtype=bool)
+    sources, targets = graph.sources, graph.targets
+    n_edges = len(sources)
+    control = graph.kinds == "control"
     control_edges = int(control.sum())
 
     in_degrees = np.bincount(targets, minlength=n_nodes)
     out_degrees = np.bincount(sources, minlength=n_nodes)
-    node_data = [data for _, data in graph.nodes(data=True)]
+    node_data = list(graph.nodes.values())
     roles = [data.get("role", "implicit") for data in node_data]
     widths = [data.get("width", 1) or 1 for data in node_data]
     sequential = sum(1 for data in node_data if data.get("sequential"))
 
-    edge_list = list(zip(source_list, target_list))
+    edge_list = list(zip(sources.tolist(), targets.tolist()))
     n_weak = _count_weak_components(n_nodes, edge_list)
     n_strong, scc_labels = _strongly_connected_components(n_nodes, edge_list)
 
@@ -280,7 +276,7 @@ def extract_graph_features(graph: nx.DiGraph) -> Dict[str, float]:
         features[f"in_degree_hist_{i}"] = float(value)
     for i, value in enumerate(_degree_histogram(out_degrees.tolist())):
         features[f"out_degree_hist_{i}"] = float(value)
-    weights = np.array(weight_list, dtype=np.float64)
+    weights = graph.weights.astype(np.float64)
     for i, value in enumerate(_laplacian_spectrum(n_nodes, sources, targets, weights)):
         features[f"laplacian_eig_{i}"] = float(value)
     return features
@@ -490,14 +486,14 @@ GRAPH_FEATURE_NAMES: List[str] = sorted(
 )
 
 
-def graph_feature_vector(design: Union[str, ast.Module, nx.DiGraph]) -> np.ndarray:
+def graph_feature_vector(design: Union[str, ast.Module, DataFlowGraph]) -> np.ndarray:
     """Graph statistics as a fixed-order numpy vector for one design."""
-    graph = design if isinstance(design, nx.DiGraph) else build_dataflow_graph(design)
+    graph = design if isinstance(design, DataFlowGraph) else build_dataflow_graph(design)
     features = extract_graph_features(graph)
     return np.asarray([features[name] for name in GRAPH_FEATURE_NAMES], dtype=np.float64)
 
 
-def graph_feature_matrix(designs: List[Union[str, ast.Module, nx.DiGraph]]) -> np.ndarray:
+def graph_feature_matrix(designs: List[Union[str, ast.Module, DataFlowGraph]]) -> np.ndarray:
     """Stack graph feature vectors into an ``(N, G)`` matrix."""
     if not designs:
         return np.empty((0, len(GRAPH_FEATURE_NAMES)))

@@ -11,13 +11,15 @@ fan-in of a Trojan trigger — appear as localised intensity patterns.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import TYPE_CHECKING, List, Union
 
-import networkx as nx
 import numpy as np
 
 from ..hdl import ast_nodes as ast
-from .graph_builder import build_dataflow_graph
+from .graph_builder import DataFlowGraph, build_dataflow_graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the reference takes one
+    import networkx as nx
 
 #: Default image side length used throughout the experiments.
 DEFAULT_IMAGE_SIZE = 16
@@ -80,25 +82,36 @@ def _log_scaled(pooled: np.ndarray) -> np.ndarray:
     return scaled[np.newaxis, :, :]
 
 
-def _adjacency_image_reference(
-    design: Union[str, ast.Module, nx.DiGraph], size: int = DEFAULT_IMAGE_SIZE
-) -> np.ndarray:
+def _adjacency_image_reference(graph: nx.DiGraph, size: int = DEFAULT_IMAGE_SIZE) -> np.ndarray:
     """Golden dense implementation of :func:`adjacency_image`.
 
-    Builds the full ``n x n`` weighted adjacency and sum-pools it.  Kept as
-    the reference the edge-scatter fast path is verified against
-    (``tests/test_features_graph.py``), like
+    Builds the full ``n x n`` weighted adjacency of a networkx graph and
+    sum-pools it.  Kept as the reference the edge-scatter fast path is
+    verified against (``tests/test_features_graph.py``, on
+    :meth:`DataFlowGraph.to_networkx` graphs), like
     ``graph_features._extract_graph_features_reference``.
     """
     if size <= 0:
         raise ValueError("image size must be positive")
-    graph = design if isinstance(design, nx.DiGraph) else build_dataflow_graph(design)
     order = _canonical_node_order(graph)
     return _log_scaled(_pool_to_size(_weighted_adjacency(graph, order), size))
 
 
+def _canonical_positions(graph: DataFlowGraph) -> np.ndarray:
+    """Each node's position in :func:`_canonical_node_order`'s ordering."""
+    n = graph.number_of_nodes()
+    degrees = np.bincount(graph.sources, minlength=n) + np.bincount(graph.targets, minlength=n)
+    keys = [
+        (_ROLE_ORDER.get(data.get("role", "implicit"), len(_ROLE_ORDER)), -degree, name)
+        for (name, data), degree in zip(graph.nodes.items(), degrees.tolist())
+    ]
+    positions = np.empty(n, dtype=np.intp)
+    positions[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
+    return positions
+
+
 def adjacency_image(
-    design: Union[str, ast.Module, nx.DiGraph], size: int = DEFAULT_IMAGE_SIZE
+    design: Union[str, ast.Module, DataFlowGraph], size: int = DEFAULT_IMAGE_SIZE
 ) -> np.ndarray:
     """The ``(1, size, size)`` adjacency image for one design.
 
@@ -110,30 +123,21 @@ def adjacency_image(
     """
     if size <= 0:
         raise ValueError("image size must be positive")
-    graph = design if isinstance(design, nx.DiGraph) else build_dataflow_graph(design)
-    order = _canonical_node_order(graph)
-    n = len(order)
-    index = {name: i for i, name in enumerate(order)}
-    sources: List[int] = []
-    targets: List[int] = []
-    weights: List[float] = []
-    for source, target, data in graph.edges(data=True):
-        sources.append(index[source])
-        targets.append(index[target])
-        weights.append(float(data.get("weight", 1)))
-    rows = np.array(sources, dtype=np.intp)
-    cols = np.array(targets, dtype=np.intp)
+    graph = design if isinstance(design, DataFlowGraph) else build_dataflow_graph(design)
+    n = graph.number_of_nodes()
+    positions = _canonical_positions(graph)
+    rows, cols = positions[graph.sources], positions[graph.targets]
     if n > size:
         # Grid cell of each canonical position: the blocks _pool_to_size sums.
         bounds = np.linspace(0, n, size + 1).astype(int)
         cell = np.repeat(np.arange(size), np.diff(bounds))
         rows, cols = cell[rows], cell[cols]
-    pooled = np.bincount(rows * size + cols, weights=weights, minlength=size * size)
+    pooled = np.bincount(rows * size + cols, weights=graph.weights, minlength=size * size)
     return _log_scaled(pooled.reshape(size, size))
 
 
 def adjacency_image_batch(
-    designs: List[Union[str, ast.Module, nx.DiGraph]], size: int = DEFAULT_IMAGE_SIZE
+    designs: List[Union[str, ast.Module, DataFlowGraph]], size: int = DEFAULT_IMAGE_SIZE
 ) -> np.ndarray:
     """Stack adjacency images into an ``(N, 1, size, size)`` batch."""
     if not designs:

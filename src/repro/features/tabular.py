@@ -24,15 +24,6 @@ _LOGICAL_OPS = {"&&", "||"}
 _XOR_OPS = {"^", "~^", "^~"}
 
 
-def _branch_nesting_depth(node: ast.Node, depth: int = 0) -> int:
-    """Maximum nesting depth counting only branching constructs (if/case)."""
-    here = depth + 1 if isinstance(node, (ast.If, ast.Case)) else depth
-    best = here
-    for child in node.children():
-        best = max(best, _branch_nesting_depth(child, here))
-    return best
-
-
 def _scan_ast(module: ast.Module):
     """One pre-order walk computing everything the extractor needs.
 

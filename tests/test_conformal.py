@@ -271,6 +271,28 @@ class TestCombination:
         with pytest.raises(ValueError):
             combine_p_value_matrices([a, b[:5]], "fisher")
 
+    @pytest.mark.parametrize("n_modalities", [1, 2, 3, 4, 5])
+    def test_fisher_and_stouffer_match_scipy_stats_bitwise(self, n_modalities) -> None:
+        """The ``scipy.special`` ufuncs give the bits of the ``scipy.stats`` calls."""
+        import itertools
+
+        from scipy import stats
+
+        boundary = [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0, np.nan]
+        exhaustive = np.array(list(itertools.product(boundary, repeat=n_modalities)))
+        rng = np.random.default_rng(n_modalities)
+        random = rng.uniform(size=(2000, n_modalities))
+        random[rng.uniform(size=random.shape) < 0.05] = np.nan
+        tiny = 10.0 ** -rng.uniform(0, 13, size=(500, n_modalities))
+        p_values = np.vstack([exhaustive, random, tiny])
+
+        clipped = np.clip(p_values, 1e-12, 1.0)
+        fisher = stats.chi2.sf(-2.0 * np.log(clipped).sum(axis=1), df=2 * n_modalities)
+        z = stats.norm.isf(np.clip(clipped, 1e-12, 1 - 1e-12))
+        stouffer = stats.norm.sf(z.sum(axis=1) / np.sqrt(n_modalities))
+        assert fisher_combination(p_values).tobytes() == fisher.tobytes()
+        assert stouffer_combination(p_values).tobytes() == stouffer.tobytes()
+
     def test_agreement_strengthens_fisher_evidence(self) -> None:
         """Two modalities agreeing on a small p-value yield a smaller combined
         p-value than either modality combined with an uninformative one."""

@@ -699,3 +699,60 @@ class TestServeCliParsing:
             ]
         )
         assert code == 2
+
+
+class TestImportFootprint:
+    """Start-up guard: no scan or serve process loads networkx or scipy.stats.
+
+    Both packages cost a fresh process most of its time to a first verdict;
+    the scan path needs neither (only the golden references use networkx).
+    """
+
+    @staticmethod
+    def _imported_modules(args, cwd):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=cwd,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    @staticmethod
+    def _assert_lean(modules):
+        heavy = sorted(
+            name
+            for name in modules
+            if name.split(".")[0] == "networkx" or name.split(".")[:2] == ["scipy", "stats"]
+        )
+        assert not heavy, heavy[:10]
+
+    def test_cli_scan_to_verdict(self, artifact, tmp_path):
+        modules = self._imported_modules(
+            ["-m", "repro", "scan", "--artifact", str(artifact), "--generate", "1", "--no-cache"],
+            tmp_path,
+        )
+        assert "repro.engine.scan" in modules
+        self._assert_lean(modules)
+
+    def test_serve_server_module(self, tmp_path):
+        modules = self._imported_modules(["-c", "import repro.serve.server"], tmp_path)
+        assert "repro.serve.server" in modules
+        self._assert_lean(modules)

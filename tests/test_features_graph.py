@@ -9,6 +9,7 @@ import pytest
 from repro.features import (
     DEFAULT_IMAGE_SIZE,
     GRAPH_FEATURE_NAMES,
+    DataFlowGraph,
     adjacency_image,
     adjacency_image_batch,
     build_dataflow_graph,
@@ -24,7 +25,7 @@ class TestGraphBuilder:
     def test_nodes_are_declared_signals(self, sample_verilog) -> None:
         graph = build_dataflow_graph(sample_verilog)
         for signal in ("clk", "rst", "data_in", "result", "state", "count", "timeout"):
-            assert signal in graph
+            assert signal in graph.nodes
 
     def test_node_roles(self, sample_verilog) -> None:
         graph = build_dataflow_graph(sample_verilog)
@@ -34,12 +35,12 @@ class TestGraphBuilder:
         assert graph.nodes["timeout"]["role"] == "wire"
 
     def test_data_edges_from_assigns(self, sample_verilog) -> None:
-        graph = build_dataflow_graph(sample_verilog)
+        graph = build_dataflow_graph(sample_verilog).to_networkx()
         assert graph.has_edge("count", "timeout")
         assert graph.has_edge("data_in", "result")
 
     def test_control_edges_from_conditions(self, sample_verilog) -> None:
-        graph = build_dataflow_graph(sample_verilog)
+        graph = build_dataflow_graph(sample_verilog).to_networkx()
         # ``mode`` is the case subject steering ``result``.
         assert graph.has_edge("mode", "result")
         assert graph["mode"]["result"]["kind"] == "control"
@@ -47,7 +48,7 @@ class TestGraphBuilder:
         assert graph.has_edge("start", "state")
 
     def test_clock_contributes_control_edges(self, sample_verilog) -> None:
-        graph = build_dataflow_graph(sample_verilog)
+        graph = build_dataflow_graph(sample_verilog).to_networkx()
         assert graph.has_edge("clk", "state")
 
     def test_sequential_annotation(self, sample_verilog) -> None:
@@ -59,14 +60,14 @@ class TestGraphBuilder:
         graph = build_dataflow_graph(
             "module mux (input s, input [3:0] a, input [3:0] b, output [3:0] y);\n"
             "  assign y = s ? a : b;\nendmodule\n"
-        )
+        ).to_networkx()
         assert graph["s"]["y"]["kind"] == "control"
         assert graph["a"]["y"]["kind"] == "data"
 
     def test_edge_weights_accumulate(self) -> None:
         graph = build_dataflow_graph(
             "module w (input [3:0] a, output [3:0] y);\n  assign y = a + a;\nendmodule\n"
-        )
+        ).to_networkx()
         assert graph["a"]["y"]["weight"] == 2
 
     def test_instantiation_creates_instance_node(self) -> None:
@@ -74,7 +75,7 @@ class TestGraphBuilder:
             "module top (input clk, output y);\n  wire w;\n"
             "  sub u1 (.c(clk), .o(w));\n  assign y = w;\nendmodule\n"
         )
-        assert "sub.u1" in graph
+        assert "sub.u1" in graph.nodes
         assert graph.nodes["sub.u1"]["role"] == "instance"
 
     def test_graph_summary(self, sample_verilog) -> None:
@@ -113,7 +114,7 @@ class TestGraphFeatures:
         assert sum(out_hist) == pytest.approx(1.0)
 
     def test_empty_graph_features(self) -> None:
-        features = extract_graph_features(nx.DiGraph())
+        features = extract_graph_features(DataFlowGraph("empty", {}))
         assert features["n_nodes"] == 0.0
         assert features["density"] == 0.0
         assert np.isfinite(list(features.values())).all()
@@ -145,7 +146,7 @@ class TestAdjacencyImage:
         assert large.shape == (1, 64, 64)
 
     def test_empty_graph_image_is_zero(self) -> None:
-        image = adjacency_image(nx.DiGraph(), size=8)
+        image = adjacency_image(DataFlowGraph("empty", {}), size=8)
         assert image.shape == (1, 8, 8)
         assert np.all(image == 0.0)
 
@@ -163,48 +164,58 @@ class TestAdjacencyImage:
         )
 
 
-def _odd_graphs():
-    """Hand-built graphs for corner cases the HDL generators rarely produce."""
-    self_loop = nx.DiGraph()
-    self_loop.add_edge("q", "q", kind="data", weight=2)
-    self_loop.add_edge("q", "d", kind="control", weight=1)
-    self_loop.add_edge("d", "e", kind="data", weight=3)
-    self_loop.add_edge("e", "q", kind="data", weight=1)
+# Reciprocal pairs with different weights, one added backward edge first:
+# ``to_undirected`` keeps the edge whose source comes later in node order,
+# whatever the insertion order.
+_RECIPROCAL_EDGES = [
+    ("y", "x", 3, "data"),
+    ("x", "y", 7, "control"),
+    ("x", "z", 2, "data"),
+    ("z", "x", 5, "control"),
+    ("y", "z", 1, "data"),
+    ("w", "z", 4, "data"),
+]
 
-    # Reciprocal pairs with different weights, one added backward edge
-    # first: ``to_undirected`` keeps the edge whose source comes later in
-    # node order, whatever the insertion order.
-    reciprocal = nx.DiGraph()
-    reciprocal.add_nodes_from(["x", "y", "z", "w"], role="wire", width=4)
-    reciprocal.add_edge("y", "x", kind="data", weight=3)
-    reciprocal.add_edge("x", "y", kind="control", weight=7)
-    reciprocal.add_edge("x", "z", kind="data", weight=2)
-    reciprocal.add_edge("z", "x", kind="control", weight=5)
-    reciprocal.add_edge("y", "z", kind="data", weight=1)
-    reciprocal.add_edge("w", "z", kind="data", weight=4)
+
+def _odd_graphs():
+    """Hand-built graphs for corner cases the HDL generators rarely produce.
+
+    Nodes and edges are listed in insertion order; ``DataFlowGraph`` orders
+    the edges by source as ``networkx.DiGraph.edges`` would.
+    """
+    self_loop = DataFlowGraph(
+        "self_loop",
+        {"q": {}, "d": {}, "e": {}},
+        [("q", "q", 2, "data"), ("q", "d", 1, "control"), ("d", "e", 3, "data"),
+         ("e", "q", 1, "data")],
+    )
+
+    reciprocal = DataFlowGraph(
+        "reciprocal",
+        {name: {"role": "wire", "width": 4} for name in ("x", "y", "z", "w")},
+        _RECIPROCAL_EDGES,
+    )
 
     # Instance pseudo-node wired both ways to each connected signal.
-    ports = nx.DiGraph()
-    ports.add_node("sub.u1", role="instance", width=0)
+    port_nodes = {"sub.u1": {"role": "instance", "width": 0}}
+    port_edges = []
     for signal in ("clk", "a", "b"):
-        ports.add_node(signal, role="input", width=1)
-        ports.add_edge(signal, "sub.u1", kind="port", weight=1)
-        ports.add_edge("sub.u1", signal, kind="port", weight=1)
-    ports.add_edge("a", "b", kind="data", weight=2)
+        port_nodes[signal] = {"role": "input", "width": 1}
+        port_edges += [(signal, "sub.u1", 1, "port"), ("sub.u1", signal, 1, "port")]
+    ports = DataFlowGraph("ports", port_nodes, port_edges + [("a", "b", 2, "data")])
 
-    isolated = nx.DiGraph()
-    isolated.add_nodes_from(["i0", "i1"], role="wire", width=2)
-    isolated.add_edge("a", "b", kind="control", weight=1)
-    isolated.add_node("i2", role="reg", sequential=True)
+    isolated = DataFlowGraph(
+        "isolated",
+        {"i0": {"role": "wire", "width": 2}, "i1": {"role": "wire", "width": 2},
+         "a": {}, "b": {}, "i2": {"role": "reg", "sequential": True}},
+        [("a", "b", 1, "control")],
+    )
 
-    edgeless = nx.DiGraph()
-    edgeless.add_nodes_from(["p", "q", "r"])
+    edgeless = DataFlowGraph("edgeless", {"p": {}, "q": {}, "r": {}})
 
-    single = nx.DiGraph()
-    single.add_node("only", role="input", width=4)
+    single = DataFlowGraph("single", {"only": {"role": "input", "width": 4}})
 
-    single_loop = nx.DiGraph()
-    single_loop.add_edge("s", "s", kind="data", weight=3)
+    single_loop = DataFlowGraph("single_loop", {"s": {}}, [("s", "s", 3, "data")])
 
     return {
         "self_loop": self_loop,
@@ -214,8 +225,26 @@ def _odd_graphs():
         "edgeless": edgeless,
         "single": single,
         "single_loop": single_loop,
-        "empty": nx.DiGraph(),
+        "empty": DataFlowGraph("empty", {}),
     }
+
+
+class TestDataFlowGraph:
+    def test_edge_order_and_networkx_view_match_networkx(self) -> None:
+        """Edge arrays and ``to_networkx`` equal a DiGraph of the same insertions."""
+        expected = nx.DiGraph(name="reciprocal")
+        expected.add_nodes_from(["x", "y", "z", "w"], role="wire", width=4)
+        for source, target, weight, kind in _RECIPROCAL_EDGES:
+            expected.add_edge(source, target, kind=kind, weight=weight)
+        graph = _odd_graphs()["reciprocal"]
+        names = list(graph.nodes)
+        edges = [(names[s], names[t]) for s, t in zip(graph.sources, graph.targets)]
+        assert edges == list(expected.edges)
+        assert (graph.number_of_nodes(), graph.number_of_edges()) == (4, 6)
+        rebuilt = graph.to_networkx()
+        assert rebuilt.graph == expected.graph
+        assert list(rebuilt.nodes(data=True)) == list(expected.nodes(data=True))
+        assert list(rebuilt.edges(data=True)) == list(expected.edges(data=True))
 
 
 class TestVectorizedGraphFeaturesEquivalence:
@@ -229,7 +258,7 @@ class TestVectorizedGraphFeaturesEquivalence:
         )
 
         fast = extract_graph_features(graph)
-        reference = _extract_graph_features_reference(graph)
+        reference = _extract_graph_features_reference(graph.to_networkx())
         assert set(fast) == set(reference)
         for key in reference:
             assert fast[key] == reference[key], key
@@ -255,7 +284,8 @@ class TestVectorizedGraphFeaturesEquivalence:
         graphs += list(_odd_graphs().values())
         for graph in graphs:
             np.testing.assert_array_equal(
-                adjacency_image(graph, size=size), _adjacency_image_reference(graph, size=size)
+                adjacency_image(graph, size=size),
+                _adjacency_image_reference(graph.to_networkx(), size=size),
             )
 
     def test_bit_identical_on_generated_suite(self) -> None:

@@ -21,8 +21,8 @@ subsystem built from three parts:
   inference), merges deterministically, retries failed shards and makes
   interrupted scans resumable via the sharded cache;
 * :mod:`repro.engine.cli` — the ``python -m repro`` command line with
-  ``train`` / ``calibrate`` / ``scan`` / ``report`` / ``serve`` /
-  ``bench`` / ``bench-serve`` subcommands.
+  ``train`` / ``calibrate`` / ``scan`` / ``report`` / ``cache-info`` /
+  ``cache-gc`` / ``serve`` subcommands.
 
 The long-lived serving layer on top of this engine lives in
 :mod:`repro.serve` (``python -m repro serve``, ``docs/SERVING.md``).

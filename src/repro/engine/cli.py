@@ -19,11 +19,7 @@ Subcommands (see ``docs/ENGINE.md`` for a walkthrough):
   segment files into their base shards and remove retired schema
   namespaces;
 * ``serve``     — run the long-lived scan service (micro-batching HTTP
-  server, see ``docs/SERVING.md``) until SIGTERM/SIGINT;
-* ``bench``     — run the end-to-end throughput benchmark and write
-  ``BENCH_engine.json``;
-* ``bench-serve`` — run the serving load benchmark and write
-  ``BENCH_serve.json``.
+  server, see ``docs/SERVING.md``) until SIGTERM/SIGINT.
 
 Every subcommand is pure argparse + engine API; the module is import-safe
 and the tests drive :func:`main` in-process.
@@ -64,14 +60,13 @@ from ..obs.drift import (
 from ..obs.tracing import Tracer, trace_span
 from ..trojan import SuiteConfig, TrojanDataset
 from .artifacts import ArtifactError, load_detector, save_detector
-from .bench import DEFAULT_N_DESIGNS, build_scan_batch, run_engine_benchmark
 from .cache import CacheLockTimeout, describe_result_tier
 from .feature_store import (
     default_feature_store_dir,
     describe_feature_tier,
     gc_feature_tier,
 )
-from .scan import HDL_SUFFIXES, ScanEngine, ScanReport, collect_sources
+from .scan import HDL_SUFFIXES, ScanEngine, ScanReport, ScanSource, collect_sources
 from .scheduler import DEFAULT_SHARD_SIZE, ScanScheduler
 from .training import TRAINABLE_STRATEGIES, recalibrate_detector, train_detector
 
@@ -245,6 +240,23 @@ def _feature_store_dir(args: argparse.Namespace) -> Optional[Path]:
     return default_feature_store_dir(args.cache_dir) if enabled else None
 
 
+def build_scan_batch(n_designs: int, seed: int = 23) -> list:
+    """The deterministic demo batch ``scan --generate N`` scans: N suite designs."""
+    suite = TrojanDataset.generate(
+        SuiteConfig(
+            n_trojan_free=max(1, (2 * n_designs) // 3),
+            n_trojan_infected=max(1, n_designs - (2 * n_designs) // 3),
+            seed=seed,
+        )
+    )
+    # Both classes get at least one design, so a one-design request
+    # generates two; keep exactly the N that were asked for.
+    return [
+        ScanSource(name=benchmark.name, source=benchmark.source)
+        for benchmark in suite.benchmarks
+    ][:n_designs]
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     if not _check_backend(args.backend):
         return EXIT_USAGE
@@ -252,6 +264,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.resume and args.no_cache:
         print("error: --resume needs the result cache; drop --no-cache", file=sys.stderr)
+        return EXIT_USAGE
+    if args.generate < 0:
+        print("error: --generate must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     cache_dir = None if args.no_cache else args.cache_dir
     feature_dir = _feature_store_dir(args)
@@ -621,55 +636,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    suite = run_engine_benchmark(
-        args.output,
-        n_designs=args.designs,
-        workers=args.workers,
-        repeats=args.repeats,
-        jobs=args.jobs,
-        shard_size=args.shard_size,
-    )
-    print(f"wrote {args.output}")
-    for name, factor in sorted(suite.speedups.items()):
-        if name.endswith("_vs_cold"):
-            baseline = "vs cold batched scan"
-        elif name.endswith("_vs_numpy_warm"):
-            baseline = "vs warm-feature numpy scan"
-        else:
-            baseline = "vs sequential per-design scans"
-        print(f"  {name}: {factor:.1f}x {baseline}")
-    return EXIT_OK
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from ..serve.bench import run_serve_benchmark
-
-    try:
-        suite = run_serve_benchmark(
-            args.output,
-            n_requests=args.requests,
-            clients=args.clients,
-            repeats=args.repeats,
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
-            workers=args.workers,
-            smoke=args.smoke,
-        )
-    except RuntimeError as exc:
-        # A failed load-generation request (the bench raises the first
-        # client failure) is a runtime failure, not a traceback.
-        return _fail(str(exc))
-    print(f"wrote {args.output}")
-    for name, result in sorted(suite.results.items()):
-        rps = result.meta.get("requests_per_sec", 0.0)
-        p99 = result.meta.get("latency", {}).get("p99_ms", 0.0)
-        print(f"  {name}: {rps:.0f} req/s (p99 {p99:.1f}ms)")
-    for name, factor in sorted(suite.speedups.items()):
-        print(f"  speedup {name}: {factor:.2f}x")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -984,73 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_option(serve)
     _add_failpoints_option(serve)
     serve.set_defaults(func=_cmd_serve)
-
-    bench = sub.add_parser("bench", help="end-to-end scan throughput benchmark")
-    bench.add_argument("--output", default="BENCH_engine.json", help="benchmark JSON path")
-    bench.add_argument(
-        "--designs", type=int, default=DEFAULT_N_DESIGNS, help="scan batch size"
-    )
-    bench.add_argument("--workers", type=int, default=None, help="extraction processes")
-    bench.add_argument("--repeats", type=int, default=3, help="timing repeats")
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scheduler workers for the parallel-scan measurement "
-        "(default: min(4, cpu_count))",
-    )
-    bench.add_argument(
-        "--shard-size",
-        type=int,
-        default=DEFAULT_SHARD_SIZE,
-        metavar="K",
-        help="designs per scheduler shard for the parallel-scan measurement",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
-    bench_serve = sub.add_parser(
-        "bench-serve", help="scan-service load benchmark (BENCH_serve.json)"
-    )
-    bench_serve.add_argument(
-        "--output", default="BENCH_serve.json", help="benchmark JSON path"
-    )
-    bench_serve.add_argument(
-        "--requests", type=int, default=240, help="scan requests per timed run"
-    )
-    bench_serve.add_argument(
-        "--clients", type=int, default=32, help="concurrent client threads"
-    )
-    bench_serve.add_argument("--repeats", type=int, default=3, help="timing repeats")
-    bench_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="feature-extraction processes per batch scan (record the "
-        "multi-core serving variant on machines that have the cores; "
-        "meta.cpu_count in the output says which machine produced it)",
-    )
-    bench_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="micro-batch window for the batched measurement",
-    )
-    bench_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        metavar="N",
-        help="micro-batch design cap for the batched measurement",
-    )
-    bench_serve.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fast run for CI (few requests, one repeat)",
-    )
-    bench_serve.set_defaults(func=_cmd_bench_serve)
 
     return parser
 

@@ -1,8 +1,8 @@
-"""Thin stdlib client for the scan service (used by tests, tools and bench).
+"""Thin stdlib client for the scan service (used by tests and tools).
 
 :class:`ScanServiceClient` wraps ``http.client`` with a persistent
 keep-alive connection — the server speaks HTTP/1.1, so a client issuing
-many requests (the load benchmark, a CI smoke loop) pays the TCP setup
+many requests (a CI smoke loop, a soak test) pays the TCP setup
 once, not per request.  A connection object is not thread-safe; use one
 client per thread (they are cheap) when fanning out concurrent requests.
 

@@ -24,7 +24,7 @@ import pytest
 from repro import faults
 from repro.core.config import ClassifierConfig, NoodleConfig
 from repro.engine import ScanEngine, ScanScheduler, save_detector, train_detector
-from repro.engine.bench import build_scan_batch
+from repro.engine.cli import build_scan_batch
 from repro.obs.metrics import REGISTRY
 from repro.serve.client import ScanServiceClient, ScanServiceError
 from repro.serve.server import ScanService

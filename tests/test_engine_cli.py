@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.engine.cli import main
+from repro.engine.cli import build_scan_batch, main
 
 
 @pytest.fixture(scope="module")
@@ -32,30 +32,30 @@ class TestCliWorkflow:
         assert (artifact / "manifest.json").is_file()
         assert (artifact / "arrays.npz").is_file()
 
-    def test_scan_generate_and_report(self, artifact, tmp_path, capsys):
+    @pytest.mark.parametrize("n_designs", [1, 5])
+    def test_scan_generate_and_report(self, artifact, tmp_path, capsys, n_designs):
         results = tmp_path / "results.json"
         code = main(
             [
                 "scan",
                 "--artifact", str(artifact),
-                "--generate", "5",
+                "--generate", str(n_designs),
                 "--cache-dir", str(tmp_path / "cache"),
                 "--output", str(results),
             ]
         )
         assert code == 0
         data = json.loads(results.read_text())
-        assert data["n_designs"] == 5
-        assert len(data["records"]) == 5
+        assert data["n_designs"] == n_designs
+        assert len(data["records"]) == n_designs
 
         code = main(["report", "--input", str(results)])
         assert code == 0
         output = capsys.readouterr().out
-        assert "designs scanned : 5" in output
+        assert f"generated a demo batch of {n_designs} designs" in output
+        assert f"designs scanned : {n_designs}" in output
 
     def test_scan_files_uses_cache(self, artifact, tmp_path, capsys):
-        from repro.engine.bench import build_scan_batch
-
         for source in build_scan_batch(3, seed=77):
             (tmp_path / f"{source.name}.v").write_text(source.source)
         args = [
@@ -74,6 +74,18 @@ class TestCliWorkflow:
             ["scan", "--artifact", str(artifact), "--cache-dir", str(tmp_path / "c")]
         )
         assert code == 2
+
+    def test_scan_negative_generate_is_usage_error(self, artifact, tmp_path, capsys):
+        code = main(
+            [
+                "scan",
+                "--artifact", str(artifact),
+                "--generate", "-1",
+                "--cache-dir", str(tmp_path / "c"),
+            ]
+        )
+        assert code == 2
+        assert "--generate must be non-negative" in capsys.readouterr().err
 
     def test_calibrate_resaves_artifact(self, artifact, capsys):
         code = main(

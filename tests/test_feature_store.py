@@ -1,5 +1,6 @@
 """Feature-store tests: round-trips, corruption, schema invalidation,
-concurrent writers, byte-identical warm-feature rescans and legacy layouts."""
+concurrent writers, byte-identical warm-feature rescans, the
+rescan-after-reload speed gate and legacy layouts."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.core.config import ClassifierConfig, NoodleConfig
 from repro.engine import FeatureStore, ScanCache, ScanEngine, train_detector
+from repro.engine.cli import build_scan_batch
 from repro.engine.feature_store import (
     SEGMENT_COMPACT_THRESHOLD,
     SEGMENT_SUFFIX,
@@ -19,6 +21,7 @@ from repro.engine.feature_store import (
 from repro.engine.scan import assemble_features, extract_feature_rows, sources_from_pairs
 from repro.engine.scheduler import ScanScheduler
 from repro.features.pipeline import feature_schema_fingerprint
+from repro.perf import speedup, time_callable
 from repro.trojan import SuiteConfig, TrojanDataset
 
 
@@ -303,6 +306,40 @@ class TestEngineIntegration:
         assert not _shard_files(store)  # nothing on disk yet
         store.flush()
         assert _shard_files(store)
+
+
+class TestRescanAfterReload:
+    @pytest.mark.parametrize("backend", ["numpy", "fused_f32"])
+    def test_warm_feature_rescan_beats_cold_scan(self, detector, tmp_path, backend):
+        # The recalibrate -> hot-reload -> rescan workflow.  The fresh
+        # fingerprint misses the result tier by construction, but the
+        # feature tier serves every row, so the rescan pays only the
+        # forward pass.  Each rescan opens a fresh store handle, as a
+        # post-reload CLI rescan in a fresh process does, so the timing
+        # includes reading the packed shards off disk.
+        batch = build_scan_batch(12, seed=23)
+        features = tmp_path / "features"
+        ScanEngine(
+            detector, fingerprint="fp-seed", feature_store=FeatureStore(features)
+        ).scan_sources(batch, workers=1)
+        feature_hits = []
+
+        def cold_scan():
+            ScanEngine(detector, backend=backend).scan_sources(batch, workers=1)
+
+        def rescan_after_reload():
+            report = ScanEngine(
+                detector,
+                fingerprint="fp-reloaded",
+                feature_store=FeatureStore(features),
+                backend=backend,
+            ).scan_sources(batch, workers=1)
+            feature_hits.append(report.n_feature_hits)
+
+        cold = time_callable(cold_scan, repeats=3)
+        warm = time_callable(rescan_after_reload, repeats=3)
+        assert feature_hits == [len(batch)] * len(feature_hits)
+        assert speedup(cold, warm) > 1.0, (cold.best_s, warm.best_s)
 
 
 class TestDescribe:

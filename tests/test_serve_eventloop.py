@@ -26,7 +26,7 @@ import pytest
 
 from repro.core.config import ClassifierConfig, NoodleConfig
 from repro.engine import save_detector, train_detector
-from repro.engine.bench import build_scan_batch
+from repro.engine.cli import build_scan_batch
 from repro.serve.client import ScanServiceClient
 from repro.serve.server import ScanService
 

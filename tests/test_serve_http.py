@@ -17,7 +17,7 @@ from repro import __version__
 from repro.core.config import ClassifierConfig, NoodleConfig
 from repro.core.results import ScanRecord
 from repro.engine import ScanEngine, save_detector, train_detector
-from repro.engine.bench import build_scan_batch
+from repro.engine.cli import build_scan_batch
 from repro.serve.client import ScanServiceClient, ScanServiceError
 from repro.serve.server import ScanService
 

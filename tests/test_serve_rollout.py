@@ -29,7 +29,7 @@ from repro.engine import (
     save_detector,
     train_detector,
 )
-from repro.engine.bench import build_scan_batch
+from repro.engine.cli import build_scan_batch
 from repro.features import extract_modalities
 from repro.serve.client import ScanServiceClient, ScanServiceError
 from repro.serve.rollout import (
@@ -397,10 +397,15 @@ class TestMultiModelRouting:
 
 
 class TestRoutedEqualsSerial:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_routed_records_byte_identical_to_serial_engine(
-        self, detector_b, artifact_a, artifact_b, corpus
+        self, detector_b, artifact_a, artifact_b, corpus, workers
     ):
-        """Concurrent scans routed to model b == a serial scan with b."""
+        """Concurrent scans routed to model b == a serial scan with b.
+
+        With ``workers=2`` a multi-design batch extracts through the
+        per-call process pool inside the serve lane.
+        """
         serial = ScanEngine(detector_b).scan_sources(corpus, workers=1)
         expected = [record.to_dict() for record in serial.records]
 
@@ -409,6 +414,7 @@ class TestRoutedEqualsSerial:
             port=0,
             batch_window_s=0.05,
             max_batch=16,
+            workers=workers,
         ) as svc:
             ScanServiceClient(svc.host, svc.port).wait_until_ready()
 
@@ -420,12 +426,14 @@ class TestRoutedEqualsSerial:
 
             with ThreadPoolExecutor(len(corpus)) as pool:
                 responses = list(pool.map(scan_one, corpus))
+            max_batch_designs = svc.metrics.snapshot()["max_batch_designs"]
 
         observed = [response["records"][0] for response in responses]
         assert json.dumps(observed, sort_keys=True) == json.dumps(
             expected, sort_keys=True
         )
         assert all(response["model"] == "b" for response in responses)
+        assert max_batch_designs > 1  # a batch big enough for the pool ran
 
     def test_routed_records_byte_identical_to_single_model_cli_scan(
         self, artifact_a, artifact_b, corpus, tmp_path

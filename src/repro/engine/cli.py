@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -58,6 +59,7 @@ from ..obs.drift import (
     DEFAULT_WINDOW,
 )
 from ..obs.tracing import Tracer, trace_span
+from ..serve.batching import DEFAULT_BATCH_WINDOW_S
 from ..trojan import SuiteConfig, TrojanDataset
 from .artifacts import ArtifactError, load_detector, save_detector
 from .cache import CacheLockTimeout, describe_result_tier
@@ -498,11 +500,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if not _apply_failpoints(args):
         return EXIT_USAGE
-    if args.batch_window_ms < 0:
-        print("error: --batch-window-ms must be non-negative", file=sys.stderr)
+    if not (math.isfinite(args.batch_window_ms) and args.batch_window_ms >= 0):
+        print(
+            "error: --batch-window-ms must be finite and non-negative",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     if args.max_batch < 1:
         print("error: --max-batch must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.max_queue_depth < 0:
+        print(
+            "error: --max-queue-depth must be non-negative (0 disables the gate)",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     try:
         artifacts, default_model = _parse_serve_artifacts(args)
@@ -615,9 +626,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else "; feature cache disabled"
             )
         )
+        # One flush for the whole banner: on a pipe stdout is block
+        # buffered, and with --port 0 the banner is how a parent process
+        # learns the port.
         print(
             "endpoints: POST /scan  GET /healthz  GET /metrics  "
-            "POST /reload  POST /promote"
+            "POST /reload  POST /promote",
+            flush=True,
         )
         while not stop.wait(0.2):
             pass
@@ -855,10 +870,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window-ms",
         type=float,
-        default=25.0,
+        default=DEFAULT_BATCH_WINDOW_S * 1000.0,
         metavar="MS",
         help="micro-batch window: how long to hold a batch open for "
-        "stragglers after the first request arrives",
+        "stragglers, closing it early after 2 ms without an arrival; 0 "
+        "dispatches on idle, scanning whatever is queued as soon as a batch "
+        "worker is free (default %(default)g)",
     )
     serve.add_argument(
         "--max-batch",

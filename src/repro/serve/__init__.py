@@ -8,10 +8,10 @@ is stdlib-only (``selectors`` + ``threading``) and built from six pieces:
   detector artifacts loaded once, keyed by fingerprint, hot-reloaded when
   an artifact changes on disk (recalibration without downtime), all
   sharing one model-independent feature store;
-* :mod:`repro.serve.batching` — :class:`MicroBatcher`: concurrent
-  ``/scan`` requests for one model coalesce for a small window into one
-  batched forward pass + conformal p-value call and one result-cache
-  flush;
+* :mod:`repro.serve.batching` — :class:`MicroBatcher`: ``/scan``
+  requests that queue for one model while its worker is busy coalesce
+  into one batched forward pass + conformal p-value call and one
+  result-cache flush;
 * :mod:`repro.serve.rollout` — :class:`RolloutController`:
   champion–challenger promotion gated on live triage agreement (a new
   model shadow-scans sampled traffic and is promoted only when it agrees

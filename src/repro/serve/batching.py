@@ -5,12 +5,19 @@ all fixed overhead (layer setup, im2col, the conformal ``searchsorted``
 calls), and with the result cache attached every request also pays a
 lock + read-merge-write cache flush.  :class:`MicroBatcher` amortises
 both: the front-end enqueues each request's designs with a completion
-callback and moves on, a single worker thread collects everything that
-arrives within ``batch_window_s`` (up to ``max_batch`` designs), runs
-**one** :meth:`ScanEngine.scan_sources` call for the whole batch — one
+callback and moves on, a single worker thread takes everything already
+queued when it is free (up to ``max_batch`` designs), runs **one**
+:meth:`ScanEngine.scan_sources` call for the whole batch — one
 vectorized forward pass, one ``searchsorted`` p-value call, one cache
 flush — and hands each request back exactly its own slice of the
 records through that callback.
+
+By default the worker dispatches on idle: it never holds a batch open,
+so a request reaching an idle worker starts at once, and batches grow
+only from the backlog that queued while the previous batch ran — one
+request when idle, up to ``max_batch`` designs under saturation.  A positive
+``batch_window_s`` opts into holding each batch open for stragglers,
+trading latency for coalescing.
 
 Because every scan funnels through the one worker thread, the engine and
 its cache tiers are only ever touched single-threaded — the batcher is
@@ -39,6 +46,7 @@ inside one engine call.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -50,8 +58,13 @@ from ..engine.scan import ScanReport, ScanSource
 from ..faults import Deadline
 from .metrics import ServiceMetrics
 
-#: Default window (seconds) the worker keeps a batch open for stragglers.
-DEFAULT_BATCH_WINDOW_S = 0.025
+#: Default window (seconds) the worker keeps a batch open for stragglers:
+#: none, so a free worker dispatches whatever is queued at once.
+DEFAULT_BATCH_WINDOW_S = 0.0
+
+#: With a window set, the batch closes early once this long (seconds)
+#: passes with no new arrival.
+_QUIESCENCE_S = 0.002
 
 #: Default cap on designs per micro-batch (the forward-pass batch size).
 DEFAULT_MAX_BATCH = 64
@@ -135,9 +148,12 @@ class MicroBatcher:
         ``(sources, confidence) -> ScanReport`` — typically a bound
         engine/service method.  Called only from the worker thread.
     batch_window_s:
-        How long the worker holds the batch open after the first request
-        arrives, waiting for more.  ``0`` batches only what is already
-        queued (pure backlog coalescing, no added latency).
+        How long the worker may hold a batch open for stragglers after
+        taking its first request.  ``0`` (the default) dispatches on idle:
+        the batch is whatever is already queued, so a lone request never
+        waits and batches grow only from the backlog that built up while
+        the previous batch ran.  A positive window holds the batch until
+        it runs out, or until 2 ms pass with no new arrival.
     max_batch:
         Design cap per batch; the worker closes a batch early once adding
         the next request would exceed it.  A single request larger than
@@ -155,15 +171,7 @@ class MicroBatcher:
         queued (accepted but not yet collected into a batch) raise
         :class:`BatcherOverloaded` instead of growing the queue without
         bound.  ``None`` (the default) disables the gate.
-    quiescence_s:
-        Adaptive early close: a batch is closed once this long passes
-        with no new arrivals, even if the window has time left (see
-        :meth:`_collect_batch`).  ``None`` disables the early close and
-        always waits out the full window.
     """
-
-    #: Default for ``quiescence_s`` (seconds).
-    DEFAULT_QUIESCENCE_S = 0.002
 
     def __init__(
         self,
@@ -173,10 +181,9 @@ class MicroBatcher:
         metrics: Optional[ServiceMetrics] = None,
         after_batch: Optional[Callable[[], None]] = None,
         max_queue_depth: Optional[int] = None,
-        quiescence_s: Optional[float] = DEFAULT_QUIESCENCE_S,
     ) -> None:
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
+        if not (math.isfinite(batch_window_s) and batch_window_s >= 0):
+            raise ValueError("batch_window_s must be finite and non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if max_queue_depth is not None and max_queue_depth < 1:
@@ -187,9 +194,6 @@ class MicroBatcher:
         self.metrics = metrics
         self.after_batch = after_batch
         self.max_queue_depth = max_queue_depth
-        self.quiescence_s = (
-            quiescence_s if quiescence_s is not None else batch_window_s
-        )
         self._cond = threading.Condition()
         self._queue: Deque[_Pending] = deque()
         self._in_flight = 0
@@ -291,15 +295,19 @@ class MicroBatcher:
 
     # -- worker --------------------------------------------------------------
     def _collect_batch(self) -> List[_Pending]:
-        """Block for the first request, then hold the window for stragglers.
+        """Block for the first request, then take the backlog behind it.
 
-        The window is adaptive: rather than always sleeping out the full
-        ``batch_window_s``, the worker waits in short quiescence slices
-        and closes the batch as soon as one slice passes with no new
-        arrivals.  Concurrent clients send in waves (they all unblock
-        when the previous batch's responses land), so arrivals cluster
-        within a couple of milliseconds — waiting longer than the gap
-        between them would add pure latency without growing the batch.
+        With no window (the default) the batch is whatever is queued the
+        moment the worker is free: it never waits for more.  Concurrent
+        load still coalesces, because requests that arrive while a batch
+        runs queue up and leave together in the next one.
+
+        With a window the worker also holds the batch for stragglers, in
+        short quiescence slices: it closes the batch as soon as one slice
+        passes with no new arrival, or when the window runs out.
+        Concurrent clients send in waves (they all unblock when the
+        previous batch's responses land), so arrivals cluster within a
+        couple of milliseconds.
 
         Returns the batch to execute, or an empty list when the batcher
         closed with nothing left queued.
@@ -322,8 +330,8 @@ class MicroBatcher:
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(min(remaining, max(self.quiescence_s, 1e-4)))
+                    break  # no window (dispatch on idle), or it ran out
+                self._cond.wait(min(remaining, _QUIESCENCE_S))
                 if not self._queue:
                     break  # a quiescence slice passed with no arrivals
             return batch

@@ -50,8 +50,9 @@ class ScanServiceClient:
     host / port:
         Where the service listens.
     timeout:
-        Socket timeout per request (covers the micro-batch window plus
-        the scan itself).
+        Socket timeout per request (covers the queueing behind earlier
+        batches, any micro-batch window the service holds, and the scan
+        itself).
     """
 
     def __init__(

@@ -280,8 +280,12 @@ class ScanService:
         dribble in (slow-loris guard) and how long an idle keep-alive
         connection is kept.
     batch_window_s:
-        Micro-batch window — how long a lane's batch worker holds a batch
-        open for stragglers after the first request arrives.
+        Micro-batch window — how long a lane's batch worker may hold a
+        batch open for stragglers.  ``0`` (the default) dispatches on
+        idle: a free worker scans whatever is queued at once, so batches
+        coalesce only the backlog that built up during the previous
+        batch.  A positive window trades latency for coalescing (see
+        :class:`repro.serve.batching.MicroBatcher`).
     max_batch:
         Designs per micro-batch (the forward-pass batch-size cap).
     cache_dir:

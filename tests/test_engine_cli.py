@@ -228,9 +228,16 @@ class TestVersionFlag:
 
 
 class TestServeCli:
-    def test_bad_batch_window_is_usage_error(self, artifact, capsys):
+    @pytest.mark.parametrize("window", ["-1", "nan", "inf"])
+    def test_bad_batch_window_is_usage_error(self, tmp_path, capsys, window):
+        # The flag is checked before any artifact loads, so a missing
+        # artifact keeps a lost check a quick exit 1, not a live service.
         code = main(
-            ["serve", "--artifact", str(artifact), "--batch-window-ms", "-1"]
+            [
+                "serve",
+                "--artifact", str(tmp_path / "missing"),
+                "--batch-window-ms", window,
+            ]
         )
         assert code == 2
         assert "--batch-window-ms" in capsys.readouterr().err
@@ -239,6 +246,84 @@ class TestServeCli:
         code = main(["serve", "--artifact", str(artifact), "--max-batch", "0"])
         assert code == 2
         assert "--max-batch" in capsys.readouterr().err
+
+    def test_bad_max_queue_depth_is_usage_error(self, artifact, capsys):
+        code = main(
+            ["serve", "--artifact", str(artifact), "--max-queue-depth", "-1"]
+        )
+        assert code == 2
+        assert "--max-queue-depth" in capsys.readouterr().err
+
+    def test_batch_window_defaults_agree_on_dispatch_on_idle(self):
+        import inspect
+
+        from repro.engine.cli import build_parser
+        from repro.serve.batching import MicroBatcher
+        from repro.serve.server import ScanService
+
+        def default(cls):
+            return inspect.signature(cls).parameters["batch_window_s"].default
+
+        parsed = build_parser().parse_args(["serve", "--artifact", "unused"])
+        assert default(MicroBatcher) == 0
+        assert default(ScanService) == 0
+        assert parsed.batch_window_ms == 0
+
+    def test_banner_reaches_a_pipe_without_pythonunbuffered(self, artifact):
+        # With --port 0 the banner is the only way to learn the port, so
+        # it must leave the process while the service runs, not at exit:
+        # on a pipe, stdout is block buffered unless PYTHONUNBUFFERED is set.
+        import os
+        import select
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        from repro.serve.client import ScanServiceClient
+
+        src_dir = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--artifact", str(artifact),
+                "--port", "0",
+                "--no-cache",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+        try:
+            banner = b""
+            deadline = time.monotonic() + 60.0
+            while b"endpoints:" not in banner:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, f"no banner on the pipe: {banner!r}"
+                ready, _, _ = select.select([server.stdout], [], [], remaining)
+                if ready:
+                    chunk = os.read(server.stdout.fileno(), 4096)
+                    assert chunk, f"serve exited before its banner: {banner!r}"
+                    banner += chunk
+            line = next(
+                line for line in banner.decode().splitlines() if "http://" in line
+            )
+            port = int(line.split("http://")[1].split()[0].rsplit(":", 1)[1])
+            with ScanServiceClient(port=port, timeout=30.0) as client:
+                assert client.healthz()["status"] == "ok"
+            server.send_signal(signal.SIGTERM)
+            output, _ = server.communicate(timeout=60.0)
+            assert server.returncode == 0, output
+            assert b"shutdown clean" in output
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate(timeout=10)
 
     def test_missing_artifact_is_runtime_failure(self, tmp_path, capsys):
         code = main(

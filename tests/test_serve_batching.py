@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 import time
 from typing import List, Optional, Sequence
+from unittest import mock
 
 import pytest
 
@@ -137,10 +138,31 @@ class TestSubmission:
 
 
 class TestCoalescing:
-    def test_queued_requests_share_one_scan_call(self):
+    def test_default_dispatches_a_lone_request_without_waiting(self):
+        """Dispatch on idle: the worker never holds a lone request open."""
+        scanner = FakeScanner()
+        batcher = MicroBatcher(scanner)
+        cond = batcher._cond
+        with mock.patch.object(cond, "wait", wraps=cond.wait) as wait:
+            try:
+                result = _submit(batcher, _sources("a")).wait()
+                assert [r.name for r in result.records] == ["a"]
+                assert scanner.calls == [(["a"], None)]
+            finally:
+                batcher.close()
+        # The idle worker blocks without a timeout; a timed wait would be
+        # a straggler hold.
+        assert all(call == mock.call() for call in wait.call_args_list), (
+            wait.call_args_list
+        )
+
+    @pytest.mark.parametrize(
+        "window", [{}, {"batch_window_s": 0.5}], ids=["default", "window"]
+    )
+    def test_queued_requests_share_one_scan_call(self, window):
         scanner = FakeScanner()
         scanner.release.clear()
-        batcher = MicroBatcher(scanner, batch_window_s=0.5, max_batch=16)
+        batcher = MicroBatcher(scanner, max_batch=16, **window)
         try:
             pending = [_submit(batcher, _sources(f"d{i}")) for i in range(4)]
             scanner.release.set()
@@ -252,7 +274,8 @@ class TestFailuresAndLifecycle:
         batcher.close()
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="batch_window_s"):
-            MicroBatcher(FakeScanner(), batch_window_s=-1.0)
+        for window in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="batch_window_s"):
+                MicroBatcher(FakeScanner(), batch_window_s=window)
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(FakeScanner(), max_batch=0)

@@ -131,14 +131,21 @@ class TestScanEndpoint:
 
 
 class TestServedEqualsSerial:
+    @pytest.mark.parametrize(
+        "window", [{"batch_window_s": 0.05}, {}], ids=["window", "default"]
+    )
     def test_concurrent_microbatched_records_byte_identical_to_serial(
-        self, detector, artifact, corpus
+        self, detector, artifact, corpus, window
     ):
-        """The serving acceptance property, uncached on both sides."""
+        """The serving acceptance property, uncached on both sides.
+
+        At the default (dispatch on idle) the first request runs alone and
+        the rest coalesce from the backlog that queued behind it.
+        """
         serial = ScanEngine(detector).scan_sources(corpus, workers=1)
         expected = [record.to_dict() for record in serial.records]
 
-        with ScanService(artifact, port=0, batch_window_s=0.05, max_batch=16) as svc:
+        with ScanService(artifact, port=0, max_batch=16, **window) as svc:
             ScanServiceClient(svc.host, svc.port).wait_until_ready()
 
             def scan_one(source):

@@ -26,8 +26,8 @@ namespace-wide lockfile with a read-merge-write protocol, so
 Corrupt files (truncated JSON, unreadable bytes) are never fatal: they are
 quarantined next to the store as ``*.corrupt`` with a logged warning and
 the affected records are simply rescanned.  The pre-sharding single-file
-format (``scan_cache_<fp16>.json`` at the cache root) is read
-transparently and migrated into shard files on the first flush.
+format (``scan_cache_<fp16>.json`` at the cache root) is no longer read:
+such a file is ignored and left in place, and its designs are rescanned.
 """
 
 from __future__ import annotations
@@ -60,11 +60,8 @@ from ..obs.metrics import REGISTRY
 logger = logging.getLogger(__name__)
 
 #: Bump when the on-disk record layout changes.  Version 1 was the single
-#: JSON blob per fingerprint; version 2 is the sharded store.
+#: JSON blob per fingerprint (no longer read); version 2 is the sharded store.
 CACHE_SCHEMA_VERSION = 2
-
-#: Schema version of the legacy single-file format (still readable).
-LEGACY_SCHEMA_VERSION = 1
 
 #: Subdirectory of a namespace that holds the per-prefix shard files.
 SHARDS_DIRNAME = "shards"
@@ -289,10 +286,9 @@ def describe_result_tier(directory: Union[str, Path]) -> Dict[str, Any]:
 
     Pure directory walking plus JSON reads — no :class:`ScanCache` is
     opened and no lock is taken, so this is safe against a live cache
-    (``python -m repro cache-info`` uses it).  Legacy single-file stores
-    at the root are reported under their fingerprint prefix with
-    ``legacy: True``; quarantined ``*.corrupt`` files are counted so an
-    operator notices corruption that the engine quietly survived.
+    (``python -m repro cache-info`` uses it).  Quarantined ``*.corrupt``
+    files are counted so an operator notices corruption that the engine
+    quietly survived.
     """
     root = Path(directory)
     namespaces: List[Dict[str, Any]] = []
@@ -312,18 +308,6 @@ def describe_result_tier(directory: Union[str, Path]) -> Dict[str, Any]:
                     "n_records": sum(_count_store_records(p) for p in shards),
                     "bytes": sum(_file_size(p) for p in shards),
                     "n_corrupt": len(corrupt),
-                    "legacy": False,
-                }
-            )
-        for legacy in sorted(root.glob("scan_cache_*.json")):
-            namespaces.append(
-                {
-                    "fingerprint": legacy.stem.replace("scan_cache_", ""),
-                    "n_shards": 1,
-                    "n_records": _count_store_records(legacy),
-                    "bytes": _file_size(legacy),
-                    "n_corrupt": 0,
-                    "legacy": True,
                 }
             )
     return {
@@ -359,7 +343,6 @@ class ScanCache:
         self.shard_prefix_len = shard_prefix_len
         self.namespace_dir = self.directory / fingerprint[:16]
         self._shards_dir = self.namespace_dir / SHARDS_DIRNAME
-        self._legacy_path = self.directory / f"scan_cache_{fingerprint[:16]}.json"
         self._lock = _NamespaceLock(self.namespace_dir / ".lock")
         self._records: Dict[str, dict] = {}
         self._dirty_keys: Set[str] = set()
@@ -371,8 +354,8 @@ class ScanCache:
         """The shard file a content hash belongs to."""
         return self._shards_dir / f"{sha256[: self.shard_prefix_len]}.json"
 
-    def _read_store_file(self, path: Path, expected_version: int) -> Dict[str, dict]:
-        """Read one store file; corrupt files are quarantined, not fatal."""
+    def _read_store_file(self, path: Path) -> Dict[str, dict]:
+        """Read one shard file; corrupt files are quarantined, not fatal."""
         try:
             raw = corrupting_failpoint("cache.shard.read", path.read_bytes())
             data = json.loads(raw)
@@ -382,7 +365,7 @@ class ScanCache:
         if not isinstance(data, dict):
             _quarantine(path, ValueError("top-level JSON value is not an object"))
             return {}
-        if data.get("schema_version") != expected_version:
+        if data.get("schema_version") != CACHE_SCHEMA_VERSION:
             return {}
         if data.get("fingerprint") != self.fingerprint:
             return {}
@@ -390,19 +373,11 @@ class ScanCache:
         return dict(records) if isinstance(records, dict) else {}
 
     def _load(self) -> None:
-        """Populate the in-memory view from legacy + shard files on disk."""
+        """Populate the in-memory view from the shard files on disk."""
         self._records = {}
-        if self._legacy_path.is_file():
-            legacy = self._read_store_file(self._legacy_path, LEGACY_SCHEMA_VERSION)
-            self._records.update(legacy)
-            # Mark legacy records dirty so the next flush migrates them into
-            # shard files (and retires the legacy blob).
-            self._dirty_keys.update(legacy)
         if self._shards_dir.is_dir():
             for path in sorted(self._shards_dir.glob("*.json")):
-                self._records.update(
-                    self._read_store_file(path, CACHE_SCHEMA_VERSION)
-                )
+                self._records.update(self._read_store_file(path))
 
     def reload(self) -> None:
         """Re-read the on-disk store, keeping local unflushed records.
@@ -461,9 +436,7 @@ class ScanCache:
 
     # -- persistence --------------------------------------------------------
     def _delete_store_files(self) -> None:
-        """Remove the legacy blob and every shard file (lock held)."""
-        if self._legacy_path.is_file():
-            self._legacy_path.unlink()
+        """Remove every shard file (lock held)."""
         if self._shards_dir.is_dir():
             for path in self._shards_dir.glob("*.json"):
                 try:
@@ -491,13 +464,8 @@ class ScanCache:
             if self._cleared:
                 self._delete_store_files()
                 self._cleared = False
-            migrating = self._legacy_path.is_file()
             for path, keys in sorted(by_shard.items()):
-                on_disk = (
-                    self._read_store_file(path, CACHE_SCHEMA_VERSION)
-                    if path.is_file()
-                    else {}
-                )
+                on_disk = self._read_store_file(path) if path.is_file() else {}
                 merged = dict(on_disk)
                 merged.update((key, self._records[key]) for key in keys)
                 atomic_write_json(
@@ -510,10 +478,6 @@ class ScanCache:
                 )
                 for key, value in on_disk.items():
                     self._records.setdefault(key, value)
-            if migrating:
-                # Every legacy record was marked dirty at load time, so by
-                # now they all live in shard files; retire the old blob.
-                self._legacy_path.unlink()
         self._dirty_keys.clear()
         _CACHE_FLUSHES.inc()
         return self.namespace_dir

@@ -270,6 +270,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.generate < 0:
         print("error: --generate must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    use_scheduler = args.jobs > 1 or args.resume
+    if use_scheduler and args.workers is not None:
+        print(
+            "error: --workers applies only to the single-process engine; "
+            "a --jobs N or --resume scan runs the scheduler, whose "
+            "parallelism is --jobs",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     cache_dir = None if args.no_cache else args.cache_dir
     feature_dir = _feature_store_dir(args)
     # With --trace, every pipeline stage records a span under one "scan"
@@ -297,14 +306,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     )
         seconds_collect = time.perf_counter() - t_collect
         span_root.attrs["designs"] = len(sources)
-        if args.jobs > 1 or args.resume:
+        if use_scheduler:
             with ScanScheduler.from_artifact(
                 args.artifact,
                 cache_dir=cache_dir,
                 feature_store_dir=feature_dir,
                 jobs=args.jobs,
                 shard_size=args.shard_size,
-                front_end_workers=args.workers,
                 backend=args.backend,
             ) as scheduler:
                 report = scheduler.scan_sources(
@@ -418,13 +426,12 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
         f"({_format_bytes(result['bytes'])})"
     )
     for ns in result["namespaces"]:
-        legacy = " [legacy v1 layout]" if ns["legacy"] else ""
         corrupt = (
             f", {ns['n_corrupt']} quarantined" if ns["n_corrupt"] else ""
         )
         print(
             f"  model {ns['fingerprint']}: {ns['n_records']} records, "
-            f"{ns['n_shards']} shards ({_format_bytes(ns['bytes'])}){corrupt}{legacy}"
+            f"{ns['n_shards']} shards ({_format_bytes(ns['bytes'])}){corrupt}"
         )
     print(
         f"feature tier  : {features['n_rows']} rows in "
@@ -560,7 +567,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=cache_dir,
             feature_store_dir=_feature_store_dir(args),
             feature_cache=False,  # the resolved dir above is the whole decision
-            workers=args.workers,
             max_queue_depth=args.max_queue_depth or None,
             allow_paths=not args.no_paths,
             flush_every=args.flush_every,
@@ -714,7 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--generate-seed", type=int, default=23, help="seed for --generate"
     )
     scan.add_argument(
-        "--workers", type=int, default=None, help="feature-extraction processes"
+        "--workers",
+        type=int,
+        default=None,
+        help="feature-extraction processes of the single-process engine "
+        "(default: min(4, CPU count)); not valid with --jobs N > 1 or "
+        "--resume, where --jobs sets the parallelism",
     )
     scan.add_argument(
         "--jobs",
@@ -883,12 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="designs per micro-batch (the forward-pass batch-size cap)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="feature-extraction processes per batch scan",
     )
     serve.add_argument(
         "--max-queue-depth",

@@ -23,8 +23,9 @@ scan-a-whole-corpus service needs:
   to ``max_retries`` times; designs in a shard that keeps failing get
   explicit error records instead of poisoning the whole scan.
 * **Graceful degradation** — if the pool cannot be created (restricted
-  environments) or ``jobs=1``, shards run serially in the parent through
-  the exact same merge path.
+  environments), its workers start dying, or ``jobs=1``, shards run
+  serially and in-process in the parent through the exact same merge
+  path.
 
 See ``docs/ENGINE.md`` for the full resume/retry semantics.
 """
@@ -325,7 +326,9 @@ class ScanScheduler:
         gives the parent.
     jobs:
         Worker-pool size (:func:`default_jobs` when omitted); ``1`` scans
-        shards serially in the parent through the same merge path.
+        shards serially in the parent through the same merge path.  The
+        persistent pool is the scheduler's only source of extra
+        processes: shards scanned in the parent extract in-process.
     shard_size:
         Designs per shard — the granularity of parallelism, retry and
         incremental cache flushes.
@@ -337,12 +340,6 @@ class ScanScheduler:
         failed (and re-queueing it under the retry budget).  Guards
         against pool workers that died hard (OOM, SIGKILL), whose results
         would otherwise never arrive; ``None`` disables the deadline.
-    front_end_workers:
-        Feature-extraction processes for shards scanned in the parent
-        (the ``jobs=1`` / degraded path); defaults to the engine's own
-        ``min(4, cpu_count)``.  Pool workers always extract in-process —
-        they are daemonic and may not spawn a nested pool, and the shard
-        fan-out already owns the cores.
     image_size:
         Adjacency-image size the feature pipeline was trained with.
     default_confidence:
@@ -364,7 +361,6 @@ class ScanScheduler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
-        front_end_workers: Optional[int] = None,
         image_size: int = DEFAULT_IMAGE_SIZE,
         default_confidence: Optional[float] = None,
         backend: str = "numpy",
@@ -386,7 +382,6 @@ class ScanScheduler:
         self.shard_size = shard_size
         self.max_retries = max_retries
         self.shard_timeout = shard_timeout
-        self.front_end_workers = front_end_workers
         self.image_size = image_size
         from ..nn.backend import get_backend
 
@@ -417,7 +412,6 @@ class ScanScheduler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
-        front_end_workers: Optional[int] = None,
         image_size: int = DEFAULT_IMAGE_SIZE,
         backend: str = "numpy",
     ) -> "ScanScheduler":
@@ -442,7 +436,6 @@ class ScanScheduler:
             shard_size=shard_size,
             max_retries=max_retries,
             shard_timeout=shard_timeout,
-            front_end_workers=front_end_workers,
             image_size=image_size,
             backend=backend,
         )
@@ -716,9 +709,7 @@ class ScanScheduler:
                             designs=len(shard.indices),
                         ):
                             return _scan_shard_serial(
-                                engine,
-                                self._shard_task(shard, sources, level),
-                                workers=self.front_end_workers,
+                                engine, self._shard_task(shard, sources, level)
                             )
 
                     outcomes = ((shard, _run_serial(shard)) for shard in batch)
@@ -786,18 +777,16 @@ class ScanScheduler:
 def _scan_shard_serial(
     engine: ScanEngine,
     task: Tuple[str, List[ScanSource], float],
-    workers: Optional[int] = None,
 ) -> Tuple[str, Optional[List[dict]], float, float, int, Optional[str]]:
     """Serial-path twin of :func:`_scan_shard_worker` using a given engine.
 
-    Unlike pool workers (which must extract in-process), the parent may
-    fan the front-end out across ``workers`` extraction processes.  The
-    optional fourth task element (the trace context) is ignored here: the
-    serial path traces in-process through ``engine.tracer`` instead.
+    Extracts in-process, like a pool worker.  The optional fourth task
+    element (the trace context) is ignored here: the serial path traces
+    in-process through ``engine.tracer`` instead.
     """
     shard_id, shard_sources, level = task[0], task[1], task[2]
     try:
-        report = engine.scan_sources(shard_sources, workers=workers, confidence=level)
+        report = engine.scan_sources(shard_sources, workers=1, confidence=level)
         return (
             shard_id,
             [record.to_dict() for record in report.records],

@@ -30,33 +30,10 @@ is stdlib-only (``selectors`` + ``threading``) and built from six pieces:
 :mod:`repro.serve.bench` holds the deterministic request corpus the
 serving benchmark and smoke tools send.
 
+The package itself exports nothing, so importing one submodule (the
+CLI reads :mod:`repro.serve.batching` on every command) does not load the
+HTTP stack; import names from the submodules.
+
 Start one with ``python -m repro serve --artifact NAME=DIR ...``; see
 ``docs/SERVING.md`` for the API reference and semantics.
 """
-
-from .batching import BatcherClosed, BatchResult, MicroBatchError, MicroBatcher
-from .client import ScanServiceClient, ScanServiceError
-from .eventloop import EventLoopFrontend, ParsedRequest
-from .metrics import LatencyWindow, ServiceMetrics
-from .registry import ModelRegistry, RegisteredModel
-from .rollout import RolloutController, RolloutError
-from .server import RequestError, ScanService
-
-__all__ = [
-    "BatchResult",
-    "BatcherClosed",
-    "EventLoopFrontend",
-    "LatencyWindow",
-    "MicroBatchError",
-    "MicroBatcher",
-    "ModelRegistry",
-    "ParsedRequest",
-    "RegisteredModel",
-    "RequestError",
-    "RolloutController",
-    "RolloutError",
-    "ScanService",
-    "ScanServiceClient",
-    "ScanServiceError",
-    "ServiceMetrics",
-]

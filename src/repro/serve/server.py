@@ -252,6 +252,11 @@ class _ModelLane:
 class ScanService:
     """Everything behind one serving process: registry, lanes, front-end.
 
+    Each lane's batch worker extracts features in-process and never forks
+    an extraction pool: a pool forked per micro-batch costs more than it
+    saves at serve batch sizes.  More cores means more service processes
+    (see ``docs/SERVING.md``).
+
     Parameters
     ----------
     artifact:
@@ -300,9 +305,6 @@ class ScanService:
     feature_store_dir:
         Explicit feature-tier root overriding the convention above (also
         enables the tier without a result cache).
-    workers:
-        Feature-extraction processes per batch scan (default 1: on a
-        serving box each lane's batch worker owns a core's worth of work).
     allow_paths:
         Whether ``POST /scan`` may reference server-side paths.
     flush_every:
@@ -347,7 +349,6 @@ class ScanService:
         cache_dir: Optional[Union[str, Path]] = None,
         feature_cache: bool = True,
         feature_store_dir: Optional[Union[str, Path]] = None,
-        workers: Optional[int] = 1,
         image_size: int = DEFAULT_IMAGE_SIZE,
         allow_paths: bool = True,
         flush_every: int = 128,
@@ -375,7 +376,6 @@ class ScanService:
             artifacts = {DEFAULT_MODEL_NAME: artifact}  # type: ignore[dict-item]
         if not artifacts:
             raise ValueError("'artifacts' must name at least one model")
-        self.workers = workers
         self.allow_paths = allow_paths
         self.flush_every = max(1, flush_every)
         self.backend = backend
@@ -544,7 +544,7 @@ class ScanService:
         ):
             report = entry.engine.scan_sources(
                 sources,
-                workers=self.workers,
+                workers=1,
                 confidence=confidence,
                 flush_cache=False,
                 tracer=self._tracer,

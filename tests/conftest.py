@@ -7,6 +7,8 @@ extracted features" share one copy instead of regenerating them.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,25 @@ from repro.trojan import SuiteConfig, TrojanDataset
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def pool_constructions(monkeypatch) -> list:
+    """Record every ``multiprocessing.Pool`` constructed during the test.
+
+    The wrapper delegates to the real ``Pool``, so code under test behaves
+    as usual; the returned list gains one ``(args, kwargs)`` entry per
+    construction.
+    """
+    real_pool = multiprocessing.Pool
+    constructed: list = []
+
+    def counting_pool(*args, **kwargs):
+        constructed.append((args, kwargs))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    return constructed
 
 
 @pytest.fixture(scope="session")

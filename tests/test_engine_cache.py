@@ -1,4 +1,4 @@
-"""Sharded result-cache tests: atomicity, migration, quarantine, concurrency."""
+"""Sharded result-cache tests: atomicity, quarantine, concurrency."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.core.results import ScanRecord, TrojanDecision
 from repro.engine.cache import (
     CACHE_SCHEMA_VERSION,
     CacheLockTimeout,
-    LEGACY_SCHEMA_VERSION,
     ScanCache,
 )
 from repro.engine.scan import hash_source
@@ -98,49 +97,24 @@ class TestShardedStore:
         a.flush()
         assert ScanCache(tmp_path, "fp-two").get(hash_source("shared")) is None
 
-
-class TestLegacyMigration:
-    def _write_legacy(self, tmp_path, fingerprint: str, records) -> None:
-        payload = {
-            "schema_version": LEGACY_SCHEMA_VERSION,
-            "fingerprint": fingerprint,
-            "records": {
-                r.sha256: dict(r.to_dict(), cached=False) for r in records
-            },
-        }
-        path = tmp_path / f"scan_cache_{fingerprint[:16]}.json"
-        path.write_text(json.dumps(payload))
-
-    def test_legacy_single_file_read_transparently(self, tmp_path):
-        records = [_record(f"old_{i}") for i in range(5)]
-        self._write_legacy(tmp_path, "fp-legacy", records)
-        cache = ScanCache(tmp_path, "fp-legacy")
-        assert len(cache) == 5
-        assert cache.get(records[0].sha256).cached
-
-    def test_flush_migrates_legacy_into_shards(self, tmp_path):
-        records = [_record(f"old_{i}") for i in range(5)]
-        self._write_legacy(tmp_path, "fp-mig", records)
-        cache = ScanCache(tmp_path, "fp-mig")
-        cache.put(_record("new_one"))
-        cache.flush()
-        assert not (tmp_path / "scan_cache_fp-mig.json").exists()
-        fresh = ScanCache(tmp_path, "fp-mig")
-        assert len(fresh) == 6  # all legacy records plus the new one survived
-
-    def test_wrong_fingerprint_legacy_ignored(self, tmp_path):
-        self._write_legacy(tmp_path, "fp-other", [_record("x")])
-        os.replace(
-            tmp_path / "scan_cache_fp-other.json",
-            tmp_path / "scan_cache_fp-mine.json",
-        )
+    def test_wrong_fingerprint_shard_ignored(self, tmp_path):
+        # A shard moved in from another model's namespace still embeds
+        # that model's fingerprint, so it must not serve its records.
+        other = ScanCache(tmp_path, "fp-other")
+        other.put(_record("x"))
+        other.flush()
+        mine = tmp_path / "fp-mine" / "shards"
+        mine.mkdir(parents=True)
+        for shard in (other.namespace_dir / "shards").glob("*.json"):
+            os.replace(shard, mine / shard.name)
         assert len(ScanCache(tmp_path, "fp-mine")) == 0
 
 
 class TestCorruptFiles:
     def test_corrupt_legacy_file_quarantined(self, tmp_path, caplog):
-        path = tmp_path / "scan_cache_fp-corrupt.json"
-        path.write_text('{"schema_version": 1, "records": {tru')
+        path = tmp_path / "fp-corrupt" / "shards" / "00.json"
+        path.parent.mkdir(parents=True)
+        path.write_text('{"schema_version": 2, "records": {tru')
         with caplog.at_level("WARNING", logger="repro.engine.cache"):
             cache = ScanCache(tmp_path, "fp-corrupt")
         assert len(cache) == 0
@@ -164,7 +138,8 @@ class TestCorruptFiles:
         assert all(fresh.get(r.sha256) is not None for r in survivors)
 
     def test_non_object_json_quarantined(self, tmp_path):
-        path = tmp_path / "scan_cache_fp-lst.json"
+        path = tmp_path / "fp-lst" / "shards" / "00.json"
+        path.parent.mkdir(parents=True)
         path.write_text("[1, 2, 3]")
         assert len(ScanCache(tmp_path, "fp-lst")) == 0
         assert path.with_name(path.name + ".corrupt").exists()

@@ -188,6 +188,28 @@ class TestExitCodes:
         assert code == 2
         assert "--resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scheduler_flags", [["--resume"], ["--jobs", "2"]], ids=["resume", "jobs"]
+    )
+    def test_workers_with_scheduler_is_usage_error(
+        self, artifact, tmp_path, capsys, scheduler_flags
+    ):
+        # The scheduler's parallelism is --jobs; --workers sets only the
+        # single-process engine's extraction pool.
+        code = main(
+            [
+                "scan",
+                "--artifact", str(artifact),
+                "--generate", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--workers", "2",
+                *scheduler_flags,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "--jobs" in err
+
 
 class TestParallelScanCli:
     def test_jobs_2_matches_single_process_scan(self, artifact, tmp_path, capsys):
@@ -600,6 +622,42 @@ class TestProfileAndCacheInfo:
         assert data["result_tier"]["n_records"] == 2
         assert data["feature_tier"]["n_rows"] == 2
 
+    def test_v1_result_store_is_ignored_and_left_in_place(
+        self, artifact, tmp_path, capsys
+    ):
+        # The pre-sharding single-file store is no longer read, migrated,
+        # deleted or listed: its designs are simply rescanned.
+        first = tmp_path / "first.json"
+        scan = ["scan", "--artifact", str(artifact), "--generate", "2"]
+        assert main(scan + ["--no-cache", "--output", str(first)]) == 0
+        fingerprint = json.loads((artifact / "manifest.json").read_text())["fingerprint"]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        v1_file = cache / f"scan_cache_{fingerprint[:16]}.json"
+        v1_file.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1,
+                    "fingerprint": fingerprint,
+                    "records": {
+                        r["sha256"]: r for r in json.loads(first.read_text())["records"]
+                    },
+                }
+            )
+        )
+        v1_bytes = v1_file.read_bytes()
+        second = tmp_path / "second.json"
+        assert main(scan + ["--cache-dir", str(cache), "--output", str(second)]) == 0
+        assert json.loads(second.read_text())["n_cache_hits"] == 0
+        assert v1_file.read_bytes() == v1_bytes
+        capsys.readouterr()
+        assert main(["cache-info", "--cache-dir", str(cache), "--json"]) == 0
+        result_tier = json.loads(capsys.readouterr().out)["result_tier"]
+        assert result_tier["n_records"] == 2  # the sharded records only
+        assert [ns["fingerprint"] for ns in result_tier["namespaces"]] == [
+            fingerprint[:16]
+        ]
+
     def test_cache_info_empty_dir(self, tmp_path, capsys):
         assert main(["cache-info", "--cache-dir", str(tmp_path / "missing")]) == 0
         out = capsys.readouterr().out
@@ -803,6 +861,7 @@ class TestImportFootprint:
 
     Both packages cost a fresh process most of its time to a first verdict;
     the scan path needs neither (only the golden references use networkx).
+    Nor does a scan need the service's HTTP stack.
     """
 
     @staticmethod
@@ -848,6 +907,18 @@ class TestImportFootprint:
         )
         assert "repro.engine.scan" in modules
         self._assert_lean(modules)
+
+    def test_cli_scan_skips_the_http_stack(self, artifact, tmp_path):
+        modules = self._imported_modules(
+            ["-m", "repro", "scan", "--artifact", str(artifact), "--generate", "1", "--no-cache"],
+            tmp_path,
+        )
+        assert "repro.serve.batching" in modules  # the CLI reads its default window
+        http_stack = {"http.client", "ssl"} | {
+            f"repro.serve.{sub}"
+            for sub in ("server", "eventloop", "client", "registry", "rollout")
+        }
+        assert not sorted(modules & http_stack), sorted(modules & http_stack)
 
     def test_serve_server_module(self, tmp_path):
         modules = self._imported_modules(["-c", "import repro.serve.server"], tmp_path)

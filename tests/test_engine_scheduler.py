@@ -49,13 +49,14 @@ class TestParallelEqualsSerial:
         ]
 
     def test_serial_scheduler_path_is_byte_identical(
-        self, detector, scan_batch, serial_records
+        self, detector, scan_batch, serial_records, pool_constructions
     ):
         with ScanScheduler(model=detector, jobs=1, shard_size=3) as scheduler:
             report = scheduler.scan_sources(scan_batch)
         assert [r.to_dict() for r in report.records] == [
             r.to_dict() for r in serial_records
         ]
+        assert pool_constructions == []  # shards extract in the parent process
 
     def test_shard_size_does_not_change_results(self, detector, scan_batch, serial_records):
         for shard_size in (1, 5, 100):
@@ -174,13 +175,13 @@ def _interruptible_scan(cache_dir: str, ready) -> None:
 
     state = {"count": 0}
 
-    def slow(engine, task, workers=None):
+    def slow(engine, task):
         if state["count"] >= 1:
             # The previous shard has been absorbed AND flushed by now.
             ready.set()
             time.sleep(0.3)  # widen the kill window mid-shard
         state["count"] += 1
-        return original(engine, task, workers=workers)
+        return original(engine, task)
 
     scheduler_module._scan_shard_serial = slow
     with ScanScheduler(
@@ -248,11 +249,11 @@ class TestBoundedRetry:
         original = scheduler_module._scan_shard_serial
         failures = {"remaining": 2}
 
-        def flaky(engine, task, workers=None):
+        def flaky(engine, task):
             if failures["remaining"] > 0:
                 failures["remaining"] -= 1
                 return task[0], None, 0.0, 0.0, 0, "RuntimeError: transient blip"
-            return original(engine, task, workers=workers)
+            return original(engine, task)
 
         monkeypatch.setattr(scheduler_module, "_scan_shard_serial", flaky)
         with ScanScheduler(
@@ -267,7 +268,7 @@ class TestBoundedRetry:
     def test_exhausted_retries_yield_error_records(
         self, detector, scan_batch, monkeypatch
     ):
-        def always_fails(engine, task, workers=None):
+        def always_fails(engine, task):
             return task[0], None, 0.0, 0.0, 0, "RuntimeError: worker keeps dying"
 
         monkeypatch.setattr(scheduler_module, "_scan_shard_serial", always_fails)
@@ -295,7 +296,7 @@ class TestBoundedRetry:
         )
 
     def test_failed_designs_are_not_cached(self, detector, scan_batch, tmp_path, monkeypatch):
-        def always_fails(engine, task, workers=None):
+        def always_fails(engine, task):
             return task[0], None, 0.0, 0.0, 0, "RuntimeError: nope"
 
         monkeypatch.setattr(scheduler_module, "_scan_shard_serial", always_fails)
@@ -325,7 +326,7 @@ class TestReportRoundTripWithErrors:
     """ScanReport JSON round-trips must preserve retry-exhaustion errors."""
 
     def _exhausted_report(self, detector, scan_batch, monkeypatch):
-        def always_fails(engine, task, workers=None):
+        def always_fails(engine, task):
             return task[0], None, 0.0, 0.0, 0, "RuntimeError: worker keeps dying"
 
         monkeypatch.setattr(scheduler_module, "_scan_shard_serial", always_fails)
@@ -363,11 +364,11 @@ class TestReportRoundTripWithErrors:
         original = scheduler_module._scan_shard_serial
         failures = {"remaining": 1}
 
-        def first_shard_fails(engine, task, workers=None):
+        def first_shard_fails(engine, task):
             if failures["remaining"] > 0:
                 failures["remaining"] -= 1
                 return task[0], None, 0.0, 0.0, 0, "RuntimeError: one bad shard"
-            return original(engine, task, workers=workers)
+            return original(engine, task)
 
         monkeypatch.setattr(scheduler_module, "_scan_shard_serial", first_shard_fails)
         with ScanScheduler(

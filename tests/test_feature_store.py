@@ -1,6 +1,6 @@
 """Feature-store tests: round-trips, corruption, schema invalidation,
 concurrent writers, byte-identical warm-feature rescans, the
-rescan-after-reload speed gate and legacy layouts."""
+rescan-after-reload speed gate and pre-feature-tier cache directories."""
 
 from __future__ import annotations
 
@@ -264,29 +264,15 @@ class TestEngineIntegration:
     def test_legacy_cache_dir_without_feature_tier_still_works(
         self, detector, scan_batch, tmp_path
     ):
-        # A pre-feature-tier cache directory: legacy v1 single-file result
-        # store, no features/ subdir.  Attaching both tiers must serve the
-        # legacy records, migrate them, and start the feature tier fresh.
-        legacy_cache = ScanCache(tmp_path / "cache", "fp-legacy")
-        seeded = ScanEngine(
-            detector, fingerprint="fp-legacy", cache=legacy_cache
+        # A pre-feature-tier cache directory: a result tier and no
+        # features/ subdir.  Attaching both tiers must serve the cached
+        # records and start the feature tier fresh.
+        ScanEngine(
+            detector,
+            fingerprint="fp-legacy",
+            cache=ScanCache(tmp_path / "cache", "fp-legacy"),
         ).scan_sources(scan_batch, workers=1)
-        # Rewrite the store as the legacy v1 single-file blob.
-        for shard in (tmp_path / "cache" / "fp-legacy"[:16] / "shards").glob("*.json"):
-            shard.unlink()
-        legacy_blob = tmp_path / "cache" / f"scan_cache_{'fp-legacy'[:16]}.json"
-        legacy_blob.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "fingerprint": "fp-legacy",
-                    "records": {
-                        r.sha256: dict(r.to_dict(), cached=False)
-                        for r in seeded.records
-                    },
-                }
-            )
-        )
+        assert not (tmp_path / "cache" / "features").exists()
         engine = ScanEngine(
             detector,
             fingerprint="fp-legacy",
@@ -295,7 +281,7 @@ class TestEngineIntegration:
         )
         report = engine.scan_sources(scan_batch, workers=1)
         assert report.n_cache_hits == len(scan_batch)
-        assert not legacy_blob.is_file()  # migrated on flush
+        assert report.n_feature_hits == 0
 
     def test_feature_store_flush_deferred_with_flush_cache_false(
         self, detector, scan_batch, tmp_path

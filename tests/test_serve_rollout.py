@@ -397,14 +397,13 @@ class TestMultiModelRouting:
 
 
 class TestRoutedEqualsSerial:
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_routed_records_byte_identical_to_serial_engine(
-        self, detector_b, artifact_a, artifact_b, corpus, workers
+        self, detector_b, artifact_a, artifact_b, corpus, pool_constructions
     ):
         """Concurrent scans routed to model b == a serial scan with b.
 
-        With ``workers=2`` a multi-design batch extracts through the
-        per-call process pool inside the serve lane.
+        A multi-design batch extracts in-process inside the serve lane:
+        the service forks no extraction pool.
         """
         serial = ScanEngine(detector_b).scan_sources(corpus, workers=1)
         expected = [record.to_dict() for record in serial.records]
@@ -414,7 +413,6 @@ class TestRoutedEqualsSerial:
             port=0,
             batch_window_s=0.05,
             max_batch=16,
-            workers=workers,
         ) as svc:
             ScanServiceClient(svc.host, svc.port).wait_until_ready()
 
@@ -433,7 +431,8 @@ class TestRoutedEqualsSerial:
             expected, sort_keys=True
         )
         assert all(response["model"] == "b" for response in responses)
-        assert max_batch_designs > 1  # a batch big enough for the pool ran
+        assert max_batch_designs > 1  # a multi-design batch ran
+        assert pool_constructions == []  # ... and the lane forked no pool
 
     def test_routed_records_byte_identical_to_single_model_cli_scan(
         self, artifact_a, artifact_b, corpus, tmp_path

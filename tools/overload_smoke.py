@@ -7,9 +7,10 @@ in-process; this script covers what only a subprocess can: the
 tiny admission budget, memory boundedness of the shedding path, and a
 clean signal-driven drain while rejected traffic is still arriving.  It
 
-1. starts ``python -m repro serve`` with a deliberately slow batch
-   window, ``--max-batch 1`` and a small ``--max-queue-depth``, so a
-   concurrent flood must overflow the admission gate,
+1. starts ``python -m repro serve`` with ``--max-batch 1`` and
+   ``--max-queue-depth 2``: every design is its own batch, so scan time
+   alone backs the queue up and a concurrent flood must overflow the
+   admission gate,
 2. fires waves of concurrent ``POST /scan`` requests and asserts every
    single one is *answered* — accepted requests scan (200), excess is
    shed with ``429`` + ``Retry-After`` (and never a socket error or
@@ -104,7 +105,6 @@ def main() -> int:
         "--artifact", args.artifact,
         "--port", str(port),
         "--no-cache",
-        "--batch-window-ms", "150",
         "--max-batch", "1",
         "--max-queue-depth", "2",
     ]

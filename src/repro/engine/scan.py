@@ -6,7 +6,8 @@ batch-friendly stages:
 
 1. **Front-end** — lexing, parsing and feature extraction are per-design
    and embarrassingly parallel, so uncached designs are fanned out across a
-   ``multiprocessing`` pool (one task per design, chunked by the pool).
+   ``multiprocessing`` pool (one task per design, chunked by the pool) once
+   they are large enough to repay its start-up.
 2. **Inference** — all extracted designs are assembled into one
    :class:`repro.features.MultimodalFeatures` batch and pushed through the
    vectorized CNN forward pass and the ``searchsorted`` conformal p-values
@@ -33,6 +34,7 @@ import numpy as np
 from ..core.fusion import ConformalFusionModel
 from ..core.noodle import build_decisions
 from ..core.results import ScanRecord
+from ..faults import SHARD_DEADLINE_S
 from ..features.image import DEFAULT_IMAGE_SIZE
 from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
@@ -55,6 +57,14 @@ _DEGRADED = REGISTRY.counter(
     "Scans that lost a durability/parallelism tier but continued.",
     labels=("tier",),
 )
+
+
+#: Pending sources totalling fewer characters than this (bytes, for ASCII
+#: HDL) are extracted serially even when ``workers > 1``.  A per-call pool
+#: costs ~100 ms to fork, initialise and spin up its BLAS threads; suite
+#: designs recoup that only from ~220 KB (~100 designs), and wide designs,
+#: which cost 4-6x more per byte, from well below it.
+POOL_MIN_SOURCE_BYTES = 64 * 1024
 
 
 def note_degraded(tier: str) -> None:
@@ -147,6 +157,13 @@ def _extract_worker(
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
+def _extract_chunk(
+    tasks: List[Tuple[int, str, int]],
+) -> List[Tuple[int, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[str]]]:
+    """Pool worker: :func:`_extract_worker` over a chunk of tasks, in order."""
+    return [_extract_worker(task) for task in tasks]
+
+
 def extract_feature_rows(
     sources: Sequence[ScanSource],
     image_size: int = DEFAULT_IMAGE_SIZE,
@@ -156,13 +173,17 @@ def extract_feature_rows(
     """Extract ``(tabular, graph, image)`` rows for every source.
 
     Returns ``(rows, errors)`` keyed by source index.  ``workers`` defaults
-    to ``min(4, cpu_count)``; pass ``1`` (or fewer sources than 2) for the
-    serial path.  Pool workers run with one BLAS thread each
-    (:func:`repro.engine.blas.limit_blas_threads`), so ``workers`` is the
-    whole parallelism.  Any pool-level failure falls back to serial
-    extraction so a restricted environment degrades gracefully rather than
-    crashing; the fallback is logged and counted as
-    ``repro_engine_degraded_total{tier="pool"}``.
+    to ``min(4, cpu_count)``; pass ``1`` for the serial path, which is also
+    taken for fewer than two pending sources or fewer than
+    :data:`POOL_MIN_SOURCE_BYTES` of pending source.  Pool workers run with
+    one BLAS thread each (:func:`repro.engine.blas.limit_blas_threads`), so
+    ``workers`` is the whole parallelism.  Each pooled chunk is awaited for
+    at most :data:`repro.faults.policy.SHARD_DEADLINE_S`, so a worker that
+    dies mid-task (say, OOM-killed on a huge design) cannot hang the call.
+    A pool that fails to start or misses that deadline is terminated and
+    the designs it has not returned are extracted serially, so a restricted
+    environment degrades gracefully rather than crashing; the fallback is
+    logged and counted as ``repro_engine_degraded_total{tier="pool"}``.
 
     With a :class:`repro.engine.feature_store.FeatureStore` attached, the
     store is consulted first — features are a pure function of source
@@ -182,22 +203,33 @@ def extract_feature_rows(
     if workers is None:
         workers = min(4, multiprocessing.cpu_count() or 1)
     results: List[Tuple[int, Optional[Tuple], Optional[str]]] = []
-    if workers > 1 and len(tasks) > 1:
+    if (
+        workers > 1
+        and len(tasks) > 1
+        and sum(len(task[1]) for task in tasks) >= POOL_MIN_SOURCE_BYTES
+    ):
+        processes = min(workers, len(tasks))
+        # ``pool.map``'s chunk size, but chunks are sent as tasks of their own:
+        # ``imap`` with a chunk size above 1 returns a generator whose waits
+        # cannot be bounded.
+        size = -(-len(tasks) // (4 * processes))
+        chunks = [tasks[start : start + size] for start in range(0, len(tasks), size)]
         try:
             with multiprocessing.Pool(
-                processes=min(workers, len(tasks)), initializer=limit_blas_threads
+                processes=processes, initializer=limit_blas_threads
             ) as pool:
-                results = pool.map(_extract_worker, tasks)
-        except (OSError, RuntimeError) as exc:
+                pending = pool.imap(_extract_chunk, chunks)
+                for _ in chunks:
+                    results.extend(pending.next(timeout=SHARD_DEADLINE_S))
+        except (OSError, RuntimeError, multiprocessing.TimeoutError) as exc:
             note_degraded("pool")
             logger.warning(
-                "extraction pool failed (%s: %s); extracting serially",
+                "extraction pool failed (%s: %s); extracting %d designs serially",
                 type(exc).__name__,
                 exc,
+                len(tasks) - len(results),
             )
-            results = []
-    if not results:
-        results = [_extract_worker(task) for task in tasks]
+    results.extend(_extract_worker(task) for task in tasks[len(results):])
     errors: Dict[int, str] = {}
     for index, row, error in results:
         if error is not None:

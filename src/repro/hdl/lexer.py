@@ -1,7 +1,7 @@
 """Lexer for the Verilog-2001 subset used throughout the library.
 
-The lexer converts raw source text into a flat list of
-:class:`repro.hdl.tokens.Token`.  It understands:
+The lexer converts raw source text into a flat, EOF-terminated token stream.
+It understands:
 
 * line (``//``) and block (``/* */``) comments,
 * sized and unsized numeric literals (``8'hFF``, ``4'b10_10``, ``42``),
@@ -13,22 +13,21 @@ Anything outside this set raises :class:`repro.hdl.errors.LexerError` with a
 precise source position, which keeps failures debuggable when the Trojan
 generator and the parser disagree about the accepted subset.
 
-Two implementations coexist:
-
-* :class:`Lexer` — the original character-at-a-time scanner, kept as the
-  golden reference (it owns the precise error messages and is what the
-  equivalence tests compare against);
-* :func:`tokenize` — a single compiled master-regex scanner that produces
-  an identical token stream ~5x faster on valid sources (it is the scan
-  engine's front-end hot path).  On any input the regex cannot fully
-  consume, it defers to the golden scanner so error positions and messages
-  stay exactly historical.
+:func:`tokenize` is the front-end's entry point.  It takes every token text
+from one ``findall`` and returns a :class:`TokenStream` of parallel text and
+kind lists, building no per-token object and no line or column on valid
+input.  :class:`Lexer`, the character-at-a-time scanner, is the golden
+reference: the equivalence tests compare against it, and ``tokenize`` hands
+it any input that may be an error, so each :class:`LexerError` keeps its
+historical message and position.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List
+import string
+from operator import itemgetter
+from typing import Iterator, List, Optional
 
 from .errors import LexerError
 from .tokens import (
@@ -174,83 +173,131 @@ class Lexer:
 
 
 # ---------------------------------------------------------------------------
-# Fast master-regex scanner
+# Token arrays
 # ---------------------------------------------------------------------------
 
-#: One alternation per token class, ordered so longer/more specific matches
-#: win.  The groups mirror the golden scanner's dispatch exactly: skippable
-#: whitespace/comments, sized-or-plain numeric literals, identifiers and
-#: keywords, strings, multi-char operators (longest first), then single-char
-#: operators and punctuation.
-_MASTER_PATTERN = re.compile(
-    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
-    r"|(?P<NUMBER>(?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_?]+|[0-9][0-9_]*)"
-    r"|(?P<IDENT>[A-Za-z_$][A-Za-z0-9_$]*)"
-    r'|(?P<STRING>"[^"\n]*")'
-    r"|(?P<OPERATOR>"
-    + "|".join(re.escape(op) for op in MULTI_CHAR_OPERATORS)
-    + r"|[" + re.escape(SINGLE_CHAR_OPERATORS) + r"])"
-    r"|(?P<PUNCTUATION>[" + re.escape(PUNCTUATION) + r"])",
+#: One match per skipped run or token.  Group 1 holds a token's text and is
+#: empty for whitespace and comments, so ``findall`` yields the token texts
+#: once the empty strings are dropped.  The token alternatives mirror the
+#: golden scanner's dispatch: numeric literals, identifiers and keywords,
+#: strings, multi-character operators (longest first), then single-character
+#: operators and punctuation.  The final ``.`` takes any other character on
+#: its own, so every position is consumed.  Whitespace and comments are an
+#: alternative of their own rather than a ``(?:SKIP)*`` prefix of each token:
+#: a prefix lets the engine backtrack into a trailing comment and lex part of
+#: it (``endmod//le`` would gain an ``e`` token).
+_TOKEN_PATTERN = re.compile(
+    r"[ \t\r\n]+|//[^\n]*|/\*.*?\*/"
+    r"|((?:[0-9][0-9_]*)?'[sS]?[bBoOdDhH][A-Za-z0-9_?]+|[0-9][0-9_]*"
+    r"|[A-Za-z_$][A-Za-z0-9_$]*"
+    r'|"[^"\n]*"'
+    r"|" + "|".join(re.escape(op) for op in MULTI_CHAR_OPERATORS)
+    + r"|[" + re.escape(SINGLE_CHAR_OPERATORS + PUNCTUATION) + r"]"
+    r"|.)",
     re.DOTALL,
 )
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` in one call (fast path, golden-equivalent).
+#: A token's kind follows from its first character ...
+_KIND_OF_FIRST = {
+    char: kind
+    for chars, kind in (
+        (string.ascii_letters + "_$", TokenType.IDENTIFIER),
+        (string.digits + "'", TokenType.NUMBER),
+        ('"', TokenType.STRING),
+        (SINGLE_CHAR_OPERATORS, TokenType.OPERATOR),
+        (PUNCTUATION, TokenType.PUNCTUATION),
+    )
+    for char in chars
+}
+#: ... unless its whole text says otherwise: keywords, and a quote that starts
+#: no literal, whose ``None`` sends the source to the golden scanner's error.
+_KIND_OF_TEXT = {**dict.fromkeys(KEYWORDS, TokenType.KEYWORD), "'": None, '"': None}
 
-    Produces the exact token stream of ``Lexer(source).tokenize()``.  If the
-    master regex cannot consume the whole input (stray character, malformed
-    literal, unterminated comment/string), the golden scanner is re-run so
-    the raised :class:`LexerError` carries the historical message and
-    position.
+
+class TokenStream:
+    """An EOF-terminated token stream held as two parallel lists.
+
+    ``values[i]`` is token ``i``'s text (a string literal's without its
+    quotes) and ``kinds[i]`` its :class:`TokenType`; the parser reads these
+    lists directly.  Line and column are needed only for error messages, so
+    :class:`Token` objects are built on first request, from the token start
+    offsets of a second pass over the source.  Under ``len()``, indexing,
+    iteration and ``==`` the stream behaves as the equal ``List[Token]``
+    that ``Lexer(source).tokenize()`` returns.
     """
-    tokens: List[Token] = []
-    append = tokens.append
-    pos = 0
-    length = len(source)
-    # Tokens never span newlines (multi-line content only occurs inside SKIP
-    # matches), so the line number and line start advance incrementally.
-    line = 1
-    line_start = 0
-    keyword, identifier = TokenType.KEYWORD, TokenType.IDENTIFIER
-    types = {
-        "NUMBER": TokenType.NUMBER,
-        "STRING": TokenType.STRING,
-        "OPERATOR": TokenType.OPERATOR,
-        "PUNCTUATION": TokenType.PUNCTUATION,
-    }
-    for match in _MASTER_PATTERN.finditer(source):
-        start = match.start()
-        if start != pos:
-            return Lexer(source).tokenize()  # gap: defer to golden errors
-        pos = match.end()
-        kind = match.lastgroup
-        text = match.group()
-        if kind == "SKIP":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
-        if kind == "IDENT":
-            token_type = keyword if text in KEYWORDS else identifier
-        else:
-            token_type = types[kind]
-            if kind == "STRING":
-                text = text[1:-1]
-        append(Token(token_type, text, line, start - line_start + 1))
-    if pos != length:
-        return Lexer(source).tokenize()  # trailing garbage: golden errors
-    # An *unterminated* block comment lexes as a '/' operator immediately
-    # followed by a '*'-initial operator ('*' or '**') here — a terminated
-    # one is consumed by SKIP — so defer those to the golden scanner, which
-    # raises the historical error.
-    for first, second in zip(tokens, tokens[1:]):
-        if (
-            first.value == "/"
-            and second.value.startswith("*")
-            and first.line == second.line
-            and second.column == first.column + 1
-        ):
-            return Lexer(source).tokenize()
-    tokens.append(Token(TokenType.EOF, "", line, length - line_start + 1))
-    return tokens
+
+    __slots__ = ("values", "kinds", "_source", "_tokens")
+
+    def __init__(self, values: List[str], kinds: List[TokenType], source: str) -> None:
+        self.values = values
+        self.kinds = kinds
+        self._source = source
+        self._tokens: Optional[List[Token]] = None
+
+    @classmethod
+    def from_tokens(cls, tokens: List[Token]) -> "TokenStream":
+        """Wrap an EOF-terminated ``Token`` list, such as the golden scanner's."""
+        stream = cls([t.value for t in tokens], [t.type for t in tokens], "")
+        stream._tokens = list(tokens)
+        return stream
+
+    def tokens(self) -> List[Token]:
+        """The stream as ``Token`` objects with 1-based line and column."""
+        if self._tokens is None:
+            source = self._source
+            starts = [m.start() for m in _TOKEN_PATTERN.finditer(source) if m.lastindex]
+            starts.append(len(source))  # EOF sits just past the last character
+            tokens: List[Token] = []
+            line, line_start, scanned = 1, 0, 0
+            for kind, value, start in zip(self.kinds, self.values, starts):
+                newlines = source.count("\n", scanned, start)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", scanned, start) + 1
+                scanned = start
+                tokens.append(Token(kind, value, line, start - line_start + 1))
+            self._tokens = tokens
+        return self._tokens
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        return self.tokens()[index]
+
+    def __iter__(self) -> Iterator[Token]:
+        return iter(self.tokens())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TokenStream):
+            other = other.tokens()
+        return self.tokens() == other
+
+
+def tokenize(source: str) -> TokenStream:
+    """Tokenize ``source`` into an EOF-terminated :class:`TokenStream`.
+
+    The token texts come from one ``findall``; kinds follow from each
+    text's first character.  The stream equals ``Lexer(source).tokenize()``.
+    Three inputs go to the golden scanner instead, so a
+    :class:`LexerError` keeps its historical message and position: a
+    character that starts no token, a quote that starts no literal, and a
+    source whose last ``/*`` has no ``*/`` after it (a comment that may be
+    unterminated).
+    """
+    comment = source.rfind("/*")
+    if comment >= 0 and source.find("*/", comment + 2) < 0:
+        return TokenStream.from_tokens(Lexer(source).tokenize())
+    values = list(filter(None, _TOKEN_PATTERN.findall(source)))
+    kinds = list(
+        map(_KIND_OF_TEXT.get, values, map(_KIND_OF_FIRST.get, map(itemgetter(0), values)))
+    )
+    if None in kinds:
+        return TokenStream.from_tokens(Lexer(source).tokenize())
+    if '"' in source:
+        for index, kind in enumerate(kinds):
+            if kind is TokenType.STRING:
+                values[index] = values[index][1:-1]
+    values.append("")
+    kinds.append(TokenType.EOF)
+    return TokenStream(values, kinds, source)

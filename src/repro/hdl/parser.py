@@ -6,8 +6,10 @@ on: module headers, port/net/parameter declarations, continuous assigns,
 always blocks with if/case/for statements, blocking and non-blocking
 assignments, rich expressions, and module instantiations.
 
-Anything else raises :class:`repro.hdl.errors.ParseError` with the offending
-source position.
+The parser reads the parallel text and kind lists of a
+:class:`repro.hdl.lexer.TokenStream` by index.  Anything else raises
+:class:`repro.hdl.errors.ParseError` with the offending source position; only
+then are the stream's line and column computed.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from typing import List, Optional, Tuple
 
 from . import ast_nodes as ast
 from .errors import ParseError
-from .lexer import tokenize
-from .tokens import Token, TokenType
+from .lexer import TokenStream, tokenize
+from .tokens import TokenType
 
 # Binary operator precedence, higher binds tighter.  The ternary operator is
-# handled separately above this table.
+# handled separately above this table.  EOF's text is "", which is in neither
+# table, so lookups by text need no EOF check.
 _BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
@@ -53,84 +56,65 @@ _UNARY_OPERATORS = {"!", "~", "-", "+", "&", "|", "^", "~&", "~|", "~^"}
 
 
 class Parser:
-    """Parse a token stream into a :class:`repro.hdl.ast_nodes.SourceFile`."""
+    """Parse a token stream into a :class:`repro.hdl.ast_nodes.SourceFile`.
 
-    def __init__(self, tokens: List[Token]) -> None:
+    The cursor ``pos`` never moves past the final EOF token: every consuming
+    step first matches a non-empty text or a non-EOF kind, and EOF's text is
+    empty.  So ``values[pos]`` is always in range.
+    """
+
+    def __init__(self, tokens: TokenStream) -> None:
         self.tokens = tokens
+        self.values = tokens.values
+        self.kinds = tokens.kinds
         self.pos = 0
 
     # -- token stream helpers ---------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        # The token list is EOF-terminated, so overshooting clamps to EOF;
-        # EAFP keeps the (extremely hot) common case branch-free.
-        try:
-            return self.tokens[self.pos + offset]
-        except IndexError:
-            return self.tokens[-1]
+    def _advance(self) -> str:
+        """Consume the current token, which the caller has checked, and return its text."""
+        value = self.values[self.pos]
+        self.pos += 1
+        return value
 
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.type is not TokenType.EOF:
+    def _check(self, value: str) -> bool:
+        return self.values[self.pos] == value
+
+    def _accept(self, value: str) -> bool:
+        if self.values[self.pos] == value:
             self.pos += 1
-        return token
+            return True
+        return False
 
-    def _check(self, value: str, offset: int = 0) -> bool:
-        try:
-            token = self.tokens[self.pos + offset]
-        except IndexError:
-            token = self.tokens[-1]
-        return token.value == value and token.type is not TokenType.EOF
+    def _expect(self, value: str) -> None:
+        found = self.values[self.pos]
+        if found != value:
+            raise self._error(f"Expected {value!r} but found {found!r}")
+        self.pos += 1
 
-    def _check_type(self, token_type: TokenType, offset: int = 0) -> bool:
-        return self._peek(offset).type is token_type
-
-    def _accept(self, value: str) -> Optional[Token]:
-        try:
-            token = self.tokens[self.pos]
-        except IndexError:
-            token = self.tokens[-1]
-        if token.value == value and token.type is not TokenType.EOF:
-            self.pos += 1
-            return token
-        return None
-
-    def _expect(self, value: str) -> Token:
-        token = self.tokens[self.pos]
-        if token.value != value:
-            raise ParseError(
-                f"Expected {value!r} but found {token.value!r}", token.line, token.column
-            )
-        if token.type is not TokenType.EOF:
-            self.pos += 1
-        return token
-
-    def _expect_identifier(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.IDENTIFIER:
-            raise ParseError(
-                f"Expected identifier but found {token.value!r}", token.line, token.column
-            )
+    def _expect_identifier(self) -> str:
+        if self.kinds[self.pos] is not TokenType.IDENTIFIER:
+            raise self._error(f"Expected identifier but found {self.values[self.pos]!r}")
         return self._advance()
 
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
+        token = self.tokens[self.pos]
         return ParseError(message, token.line, token.column)
 
     # -- top level ----------------------------------------------------------
     def parse(self) -> ast.SourceFile:
         modules: List[ast.Module] = []
-        while not self._check_type(TokenType.EOF):
+        while self.kinds[self.pos] is not TokenType.EOF:
             if self._check("module"):
                 modules.append(self._parse_module())
             else:
                 raise self._error(
-                    f"Expected 'module' at top level, found {self._peek().value!r}"
+                    f"Expected 'module' at top level, found {self.values[self.pos]!r}"
                 )
         return ast.SourceFile(modules=modules)
 
     def _parse_module(self) -> ast.Module:
         self._expect("module")
-        name = self._expect_identifier().value
+        name = self._expect_identifier()
         ports: List[str] = []
         items: List[ast.Node] = []
         if self._accept("#"):
@@ -138,7 +122,7 @@ class Parser:
             self._expect("(")
             while not self._check(")"):
                 self._accept("parameter")
-                param_name = self._expect_identifier().value
+                param_name = self._expect_identifier()
                 self._expect("=")
                 value = self._parse_expression()
                 items.append(ast.ParameterDeclaration(name=param_name, value=value))
@@ -155,7 +139,7 @@ class Parser:
             self._expect(")")
         self._expect(";")
         while not self._check("endmodule"):
-            if self._check_type(TokenType.EOF):
+            if self.kinds[self.pos] is TokenType.EOF:
                 raise self._error(f"Unterminated module {name!r}")
             items.extend(self._parse_module_item())
         self._expect("endmodule")
@@ -167,14 +151,14 @@ class Parser:
         Supports both the Verilog-1995 style (bare identifiers, directions
         declared in the body) and the ANSI-2001 style (direction inline).
         """
-        if self._peek().value in ("input", "output", "inout"):
-            direction = self._advance().value
-            is_reg = bool(self._accept("reg"))
+        if self.values[self.pos] in ("input", "output", "inout"):
+            direction = self._advance()
+            is_reg = self._accept("reg")
             if not is_reg:
                 self._accept("wire")
-            is_signed = bool(self._accept("signed"))
+            is_signed = self._accept("signed")
             port_range = self._parse_optional_range()
-            name = self._expect_identifier().value
+            name = self._expect_identifier()
             decl = ast.PortDeclaration(
                 direction=direction,
                 names=[name],
@@ -183,33 +167,32 @@ class Parser:
                 is_signed=is_signed,
             )
             return [decl], [name]
-        name = self._expect_identifier().value
+        name = self._expect_identifier()
         return [], [name]
 
     # -- module items ---------------------------------------------------------
     def _parse_module_item(self) -> List[ast.Node]:
-        token = self._peek()
-        if token.value in ("input", "output", "inout"):
+        value = self.values[self.pos]
+        if value in ("input", "output", "inout"):
             return [self._parse_port_declaration()]
-        if token.value in ("wire", "reg", "integer"):
+        if value in ("wire", "reg", "integer"):
             return [self._parse_net_declaration()]
-        if token.value in ("parameter", "localparam"):
+        if value in ("parameter", "localparam"):
             return self._parse_parameter_declaration()
-        if token.value == "assign":
+        if value == "assign":
             return [self._parse_continuous_assign()]
-        if token.value == "always":
+        if value == "always":
             return [self._parse_always()]
-        if token.value == "initial":
+        if value == "initial":
             self._advance()
             return [ast.Initial(body=self._parse_statement())]
-        if token.type is TokenType.IDENTIFIER:
+        if self.kinds[self.pos] is TokenType.IDENTIFIER:
             return [self._parse_instantiation()]
-        raise self._error(f"Unexpected token {token.value!r} in module body")
+        raise self._error(f"Unexpected token {value!r} in module body")
 
     def _parse_optional_range(self) -> Optional[ast.Range]:
-        if not self._check("["):
+        if not self._accept("["):
             return None
-        self._expect("[")
         msb = self._parse_expression()
         self._expect(":")
         lsb = self._parse_expression()
@@ -217,17 +200,17 @@ class Parser:
         return ast.Range(msb=msb, lsb=lsb)
 
     def _parse_name_list(self) -> List[str]:
-        names = [self._expect_identifier().value]
+        names = [self._expect_identifier()]
         while self._accept(","):
-            names.append(self._expect_identifier().value)
+            names.append(self._expect_identifier())
         return names
 
     def _parse_port_declaration(self) -> ast.PortDeclaration:
-        direction = self._advance().value
-        is_reg = bool(self._accept("reg"))
+        direction = self._advance()
+        is_reg = self._accept("reg")
         if not is_reg:
             self._accept("wire")
-        is_signed = bool(self._accept("signed"))
+        is_signed = self._accept("signed")
         port_range = self._parse_optional_range()
         names = self._parse_name_list()
         self._expect(";")
@@ -240,16 +223,16 @@ class Parser:
         )
 
     def _parse_net_declaration(self) -> ast.NetDeclaration:
-        net_type = self._advance().value
-        is_signed = bool(self._accept("signed"))
+        net_type = self._advance()
+        is_signed = self._accept("signed")
         net_range = self._parse_optional_range()
-        names = [self._expect_identifier().value]
+        names = [self._expect_identifier()]
         # Optional initialisation (``reg [3:0] x = 0``) is parsed and dropped;
         # it does not affect detection features.
         if self._accept("="):
             self._parse_expression()
         while self._accept(","):
-            names.append(self._expect_identifier().value)
+            names.append(self._expect_identifier())
             if self._accept("="):
                 self._parse_expression()
         self._expect(";")
@@ -258,12 +241,12 @@ class Parser:
         )
 
     def _parse_parameter_declaration(self) -> List[ast.Node]:
-        keyword = self._advance().value
+        keyword = self._advance()
         local = keyword == "localparam"
         self._parse_optional_range()
         declarations: List[ast.Node] = []
         while True:
-            name = self._expect_identifier().value
+            name = self._expect_identifier()
             self._expect("=")
             value = self._parse_expression()
             declarations.append(ast.ParameterDeclaration(name=name, value=value, local=local))
@@ -302,18 +285,18 @@ class Parser:
     def _parse_sensitivity_item(self) -> ast.SensitivityItem:
         edge = None
         if self._check("posedge") or self._check("negedge"):
-            edge = self._advance().value
+            edge = self._advance()
         signal = self._parse_expression()
         return ast.SensitivityItem(signal=signal, edge=edge)
 
     def _parse_instantiation(self) -> ast.Instantiation:
-        module_name = self._expect_identifier().value
+        module_name = self._expect_identifier()
         parameter_overrides: List[Tuple[str, ast.Node]] = []
         if self._accept("#"):
             self._expect("(")
             while not self._check(")"):
                 if self._accept("."):
-                    pname = self._expect_identifier().value
+                    pname = self._expect_identifier()
                     self._expect("(")
                     parameter_overrides.append((pname, self._parse_expression()))
                     self._expect(")")
@@ -322,13 +305,13 @@ class Parser:
                 if not self._accept(","):
                     break
             self._expect(")")
-        instance_name = self._expect_identifier().value
+        instance_name = self._expect_identifier()
         self._expect("(")
         connections: List[ast.PortConnection] = []
         position = 0
         while not self._check(")"):
             if self._accept("."):
-                port = self._expect_identifier().value
+                port = self._expect_identifier()
                 self._expect("(")
                 expr = None if self._check(")") else self._parse_expression()
                 self._expect(")")
@@ -350,16 +333,16 @@ class Parser:
 
     # -- statements -----------------------------------------------------------
     def _parse_statement(self) -> ast.Node:
-        token = self._peek()
-        if token.value == "begin":
+        value = self.values[self.pos]
+        if value == "begin":
             return self._parse_block()
-        if token.value == "if":
+        if value == "if":
             return self._parse_if()
-        if token.value in ("case", "casez", "casex"):
+        if value in ("case", "casez", "casex"):
             return self._parse_case()
-        if token.value == "for":
+        if value == "for":
             return self._parse_for()
-        if token.value.startswith("$"):
+        if value.startswith("$"):
             return self._parse_system_task()
         return self._parse_procedural_assignment()
 
@@ -370,7 +353,7 @@ class Parser:
             self._expect_identifier()
         statements: List[ast.Node] = []
         while not self._check("end"):
-            if self._check_type(TokenType.EOF):
+            if self.kinds[self.pos] is TokenType.EOF:
                 raise self._error("Unterminated begin/end block")
             statements.append(self._parse_statement())
         self._expect("end")
@@ -388,13 +371,13 @@ class Parser:
         return ast.If(condition=condition, then_branch=then_branch, else_branch=else_branch)
 
     def _parse_case(self) -> ast.Case:
-        variant = self._advance().value
+        variant = self._advance()
         self._expect("(")
         subject = self._parse_expression()
         self._expect(")")
         items: List[ast.CaseItem] = []
         while not self._check("endcase"):
-            if self._check_type(TokenType.EOF):
+            if self.kinds[self.pos] is TokenType.EOF:
                 raise self._error("Unterminated case statement")
             if self._accept("default"):
                 self._accept(":")
@@ -421,12 +404,12 @@ class Parser:
         return ast.ForLoop(init=init, condition=condition, step=step, body=body)
 
     def _parse_system_task(self) -> ast.SystemTaskCall:
-        name = self._advance().value
+        name = self._advance()
         args: List[ast.Node] = []
         if self._accept("("):
             while not self._check(")"):
-                if self._check_type(TokenType.STRING):
-                    args.append(ast.StringLiteral(value=self._advance().value))
+                if self.kinds[self.pos] is TokenType.STRING:
+                    args.append(ast.StringLiteral(value=self._advance()))
                 else:
                     args.append(self._parse_expression())
                 if not self._accept(","):
@@ -456,9 +439,9 @@ class Parser:
 
     # -- expressions ------------------------------------------------------------
     def _parse_expression(self) -> ast.Node:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> ast.Node:
+        # The ternary level lives here rather than in a helper of its own:
+        # each nested parenthesis costs one Python frame fewer, which keeps
+        # the recursion limit further away.
         condition = self._parse_binary(1)
         if self._accept("?"):
             if_true = self._parse_expression()
@@ -468,51 +451,33 @@ class Parser:
         return condition
 
     def _parse_binary(self, min_precedence: int) -> ast.Node:
-        # The token list is EOF-terminated and EOF is never consumed, so
-        # ``tokens[pos]`` is always in range; direct indexing keeps this
-        # (hottest) loop free of helper-call overhead.
         left = self._parse_unary()
-        tokens = self.tokens
+        values = self.values
         while True:
-            token = tokens[self.pos]
-            precedence = _BINARY_PRECEDENCE.get(token.value)
-            if (
-                precedence is None
-                or precedence < min_precedence
-                or token.type is TokenType.EOF
-            ):
+            op = values[self.pos]
+            precedence = _BINARY_PRECEDENCE.get(op)
+            if precedence is None or precedence < min_precedence:
                 return left
             self.pos += 1
             right = self._parse_binary(precedence + 1)
-            left = ast.BinaryOp(op=token.value, left=left, right=right)
+            left = ast.BinaryOp(op=op, left=left, right=right)
 
     def _parse_unary(self) -> ast.Node:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.OPERATOR and token.value in _UNARY_OPERATORS:
-            self.pos += 1
+        pos = self.pos
+        op = self.values[pos]
+        if op in _UNARY_OPERATORS and self.kinds[pos] is TokenType.OPERATOR:
+            self.pos = pos + 1
             operand = self._parse_unary()
-            return ast.UnaryOp(op=token.value, operand=operand)
+            return ast.UnaryOp(op=op, operand=operand)
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Node:
-        token = self.tokens[self.pos]
-        if token.type is TokenType.NUMBER:
-            self.pos += 1
-            return ast.Number.parse(token.value)
-        if token.type is TokenType.STRING:
-            self.pos += 1
-            return ast.StringLiteral(value=token.value)
-        if token.value == "(":
-            self._advance()
-            expr = self._parse_expression()
-            self._expect(")")
-            return self._parse_select_suffix(expr)
-        if token.value == "{":
-            return self._parse_concat_or_replicate()
-        if token.type is TokenType.IDENTIFIER:
-            self._advance()
-            name = token.value
-            if name.startswith("$") or self._check("("):
+        pos = self.pos
+        kind = self.kinds[pos]
+        value = self.values[pos]
+        if kind is TokenType.IDENTIFIER:
+            self.pos = pos + 1
+            if value.startswith("$") or self.values[pos + 1] == "(":
                 if self._accept("("):
                     args: List[ast.Node] = []
                     while not self._check(")"):
@@ -520,14 +485,26 @@ class Parser:
                         if not self._accept(","):
                             break
                     self._expect(")")
-                    return ast.FunctionCall(name=name, args=args)
-                return ast.FunctionCall(name=name, args=[])
-            return self._parse_select_suffix(ast.Identifier(name=name))
-        raise self._error(f"Unexpected token {token.value!r} in expression")
+                    return ast.FunctionCall(name=value, args=args)
+                return ast.FunctionCall(name=value, args=[])
+            return self._parse_select_suffix(ast.Identifier(name=value))
+        if kind is TokenType.NUMBER:
+            self.pos = pos + 1
+            return ast.Number.parse(value)
+        if kind is TokenType.STRING:
+            self.pos = pos + 1
+            return ast.StringLiteral(value=value)
+        if value == "(":
+            self.pos = pos + 1
+            expr = self._parse_expression()
+            self._expect(")")
+            return self._parse_select_suffix(expr)
+        if value == "{":
+            return self._parse_concat_or_replicate()
+        raise self._error(f"Unexpected token {value!r} in expression")
 
     def _parse_select_suffix(self, base: ast.Node) -> ast.Node:
-        while self._check("["):
-            self._expect("[")
+        while self._accept("["):
             first = self._parse_expression()
             if self._accept(":"):
                 second = self._parse_expression()

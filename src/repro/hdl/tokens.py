@@ -21,10 +21,12 @@ class TokenType(Enum):
 class Token(NamedTuple):
     """A single lexical token with its source position (1-based).
 
-    A ``NamedTuple`` rather than a frozen dataclass: construction happens
-    once per token on the scan engine's hot path, and the C-level tuple
-    constructor is several times faster while staying immutable and
-    field-for-field comparable.
+    The scan path's :class:`repro.hdl.lexer.TokenStream` builds these only
+    on request (tests, error positions); the golden
+    :class:`repro.hdl.lexer.Lexer` builds one per token.  A ``NamedTuple``
+    rather than a frozen dataclass: the C-level tuple constructor is
+    several times faster while staying immutable and field-for-field
+    comparable.
     """
 
     type: TokenType

@@ -6,6 +6,7 @@ import multiprocessing
 
 import pytest
 
+from repro.engine import scan
 from repro.engine.blas import limit_blas_threads, loaded_openblas, openblas_function
 from repro.engine.scan import extract_feature_rows, sources_from_pairs
 
@@ -32,10 +33,14 @@ def test_unreadable_maps_is_a_silent_no_op(tmp_path, caplog) -> None:
     assert not caplog.records
 
 
-def test_pooled_wide_design_rows_are_byte_identical(wide_designs) -> None:
+def test_pooled_wide_design_rows_are_byte_identical(
+    wide_designs, monkeypatch, pool_constructions
+) -> None:
+    monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # two designs, ~58 KB
     sources = sources_from_pairs(wide_designs)
     serial, serial_errors = extract_feature_rows(sources, workers=1)
     pooled, pooled_errors = extract_feature_rows(sources, workers=2)
+    assert pool_constructions
     assert not serial_errors and not pooled_errors
     assert sorted(pooled) == sorted(serial) == [0, 1]
     for index, row in serial.items():

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -69,6 +74,7 @@ class TestPoolFallback:
     ):
         import multiprocessing
 
+        from repro.engine import scan
         from repro.engine.scan import extract_feature_rows
         from repro.obs.metrics import REGISTRY
 
@@ -77,6 +83,7 @@ class TestPoolFallback:
 
         serial, _ = extract_feature_rows(scan_batch, workers=1)
         before = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         rows, errors = extract_feature_rows(scan_batch, workers=2)
         assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == before + 1
@@ -85,6 +92,63 @@ class TestPoolFallback:
         for index, row in serial.items():
             for expected, got in zip(row, rows[index]):
                 assert np.array_equal(got, expected)
+
+    def test_dead_worker_is_counted_and_extracts_serially(self):
+        # A pool worker that exits mid-task never returns its result; the
+        # call must give up on the pool after the deadline, not hang.  Run
+        # in a subprocess so a hang fails this test instead of the suite.
+        script = textwrap.dedent(
+            """
+            import os
+            from repro.engine import scan
+            from repro.engine.cli import build_scan_batch
+            from repro.obs.metrics import REGISTRY
+
+            parent, extract = os.getpid(), scan._extract_worker
+
+            def dying_worker(task):
+                if task[0] == 1 and os.getpid() != parent:
+                    os._exit(137)
+                return extract(task)
+
+            batch = build_scan_batch(4)
+            serial, _ = scan.extract_feature_rows(batch, workers=1)
+            scan._extract_worker = dying_worker
+            scan.SHARD_DEADLINE_S = 2.0
+            scan.POOL_MIN_SOURCE_BYTES = 0
+            before = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+            rows, errors = scan.extract_feature_rows(batch, workers=2)
+            assert not errors and sorted(rows) == sorted(serial)
+            for index, row in serial.items():
+                for expected, got in zip(row, rows[index]):
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+            assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == before + 1
+            print("recovered")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "recovered" in done.stdout
+        assert "extraction pool failed" in done.stderr
+
+
+class TestSmallScansSkipThePool:
+    def test_small_batch_extracts_serially(self, scan_batch, pool_constructions):
+        from repro.engine.scan import POOL_MIN_SOURCE_BYTES, extract_feature_rows
+
+        assert sum(len(s.source) for s in scan_batch) < POOL_MIN_SOURCE_BYTES
+        serial, _ = extract_feature_rows(scan_batch, workers=1)
+        rows, errors = extract_feature_rows(scan_batch, workers=2)
+        assert pool_constructions == []
+        assert not errors and sorted(rows) == sorted(serial)
+        for index, row in serial.items():
+            for expected, got in zip(row, rows[index]):
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestScanCache:
@@ -217,9 +281,15 @@ class TestReportsAndRecords:
         restored = ScanRecord.from_dict(record.to_dict())
         assert restored == record
 
-    def test_worker_pool_matches_serial(self, detector, scan_batch):
+    def test_worker_pool_matches_serial(
+        self, detector, scan_batch, monkeypatch, pool_constructions
+    ):
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
         serial = ScanEngine(detector).scan_sources(scan_batch, workers=1)
         pooled = ScanEngine(detector).scan_sources(scan_batch, workers=2)
+        assert pool_constructions
         for a, b in zip(serial.records, pooled.records):
             assert a.decision.p_value_trojan_infected == b.decision.p_value_trojan_infected
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.hdl import Lexer, LexerError, tokenize
+from repro.hdl import Lexer, LexerError, ParseError, Parser, tokenize
+from repro.hdl.lexer import TokenStream
 from repro.hdl.tokens import TokenType
 
 
@@ -114,8 +117,39 @@ class TestPositionsAndErrors:
         assert [t.value for t in first[:-1]] == ["wire", "x", ";"]
 
 
+#: Fragments the mutation fuzz inserts or substitutes: comment and literal
+#: delimiters (each a golden-scanner fallback on its own), a backtick, stray
+#: operators, and whitespace or comments that leave the tokens unchanged.
+_FRAGMENTS = (
+    "'", '"', "`", "/*", "*/", "//", "/* c */", "// c\n", "\n", " ",
+    "8'h", "'b1", '"s"', "(", ")", ";", "?", "**", "$",
+)
+
+
+def _mutate(rng: random.Random, source: str) -> str:
+    """One to three seeded inserts, deletes or replacements of ``source``."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(source) + 1)
+        edit = rng.random()
+        if edit < 0.5:
+            source = source[:at] + rng.choice(_FRAGMENTS) + source[at:]
+        elif edit < 0.75:
+            source = source[:at] + source[at + rng.randint(1, 4):]
+        else:
+            source = source[:at] + rng.choice(_FRAGMENTS) + source[at + 1:]
+    return source
+
+
+def _parse_outcome(stream: TokenStream):
+    """The parsed AST, or the ``ParseError`` text (message, line and column)."""
+    try:
+        return Parser(stream).parse()
+    except ParseError as exc:
+        return str(exc)
+
+
 class TestFastScannerEquivalence:
-    """The master-regex ``tokenize`` must match the golden ``Lexer`` exactly."""
+    """The token-array ``tokenize`` must match the golden ``Lexer`` exactly."""
 
     def test_identical_token_stream_on_generated_suite(self) -> None:
         from repro.trojan import SuiteConfig, TrojanDataset
@@ -138,6 +172,15 @@ class TestFastScannerEquivalence:
             "y = 4'd3; z = 'b101; q = 16'shFF_F?;",
             's = "hi"; // c\n/* multi\nline */ module',
             "b = a / 2; c = a /* x */ * 2;",
+            "endmod//le\n",
+            "x /* y */",
+            "a /* b */ /* c */\n",
+            "a // tail /*",
+            "'",
+            '"',
+            "`",
+            "",
+            "// only\n/* comments */ // here\n",
         ],
     )
     def test_edge_cases_match_golden(self, source: str) -> None:
@@ -163,3 +206,25 @@ class TestFastScannerEquivalence:
             Lexer(source).tokenize()
         with pytest.raises(LexerError, match="Unterminated block comment"):
             tokenize(source)
+
+    def test_mutated_designs_match_golden(self, small_dataset) -> None:
+        sources = [benchmark.source for benchmark in small_dataset.benchmarks]
+        rng = random.Random(23)
+        outcomes = {"parsed": 0, "ParseError": 0, "LexerError": 0}
+        for _ in range(1000):
+            source = _mutate(rng, rng.choice(sources))
+            try:
+                golden = Lexer(source).tokenize()
+            except LexerError as exc:
+                with pytest.raises(LexerError) as caught:
+                    tokenize(source)
+                assert str(caught.value) == str(exc)
+                outcomes["LexerError"] += 1
+                continue
+            stream = tokenize(source)
+            assert stream == golden
+            outcome = _parse_outcome(stream)
+            assert outcome == _parse_outcome(TokenStream.from_tokens(golden))
+            outcomes["ParseError" if isinstance(outcome, str) else "parsed"] += 1
+        # Every outcome class is exercised, so no path goes untested.
+        assert min(outcomes.values()) >= 50, outcomes

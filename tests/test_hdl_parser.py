@@ -239,3 +239,28 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse_module("module m (input a);\n  assign = 1;\nendmodule\n")
         assert excinfo.value.line == 2
+
+
+class TestNestingDepth:
+    """Deeply nested but realistic inputs parse within the default recursion limit."""
+
+    def test_nested_parentheses(self) -> None:
+        module = parse_module(
+            "module m (input a, output y);\n"
+            f"  assign y = {'(' * 150}a{')' * 150};\nendmodule\n"
+        )
+        assert module.continuous_assigns()[0].value == ast.Identifier(name="a")
+
+    def test_unary_chain(self) -> None:
+        module = parse_module(
+            f"module m (input a, output y);\n  assign y = {'~' * 800}a;\nendmodule\n"
+        )
+        assert len(collect(module, ast.UnaryOp)) == 800
+
+    def test_else_if_chain(self) -> None:
+        chain = "".join(f"if (s == {i}) y = {i}; else " for i in range(400))
+        module = parse_module(
+            "module m (input [9:0] s, output reg [9:0] y);\n"
+            f"  always @(*) {chain}y = 0;\nendmodule\n"
+        )
+        assert len(collect(module, ast.If)) == 400

@@ -16,10 +16,11 @@ Run with::
 ``scan_large`` wide designs.  ``digest`` extracts every design of a corpus
 with ``extract_design_modalities`` of whichever ``repro`` is on
 ``PYTHONPATH`` and prints one JSON object,
-``{"extraction_version", "designs", "sha256"}``, where ``sha256`` covers the
-shape and bytes of every row in corpus order.  Two trees with equal
-``extraction_version`` must print equal digests (the CI ``feature-drift``
-job).
+``{"extraction_version", "designs", "sha256", "ast_sha256"}``, where
+``sha256`` covers the shape and bytes of every row in corpus order and
+``ast_sha256`` the ``repr`` of every design's parsed module.  Two trees with
+equal ``extraction_version``, which also versions the HDL front-end, must
+print equal digests of both kinds (the CI ``feature-drift`` job).
 """
 
 from __future__ import annotations
@@ -48,17 +49,21 @@ def write_corpus(path: Path) -> int:
 def digest_corpus(path: Path) -> Dict[str, object]:
     """Digest of every extracted row of the corpus at ``path``."""
     from repro.features.pipeline import FEATURE_EXTRACTION_VERSION, extract_design_modalities
+    from repro.hdl.parser import parse_module
 
     designs: List[List[str]] = json.loads(path.read_text(encoding="utf-8"))["designs"]
     digest = hashlib.sha256()
+    ast_digest = hashlib.sha256()
     for _, source in designs:
         for row in extract_design_modalities(source):
             digest.update(repr(row.shape).encode("ascii"))
             digest.update(row.tobytes())
+        ast_digest.update(repr(parse_module(source)).encode("utf-8"))
     return {
         "extraction_version": FEATURE_EXTRACTION_VERSION,
         "designs": len(designs),
         "sha256": digest.hexdigest(),
+        "ast_sha256": ast_digest.hexdigest(),
     }
 
 

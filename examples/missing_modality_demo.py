@@ -74,7 +74,6 @@ def main() -> None:
     zero_filled = MultimodalFeatures(
         tabular=np.nan_to_num(damaged.tabular, nan=0.0),
         graph=damaged.graph.copy(),
-        graph_images=damaged.graph_images,
         labels=damaged.labels,
         names=list(damaged.names),
         tabular_feature_names=damaged.tabular_feature_names,

@@ -52,8 +52,7 @@ def main() -> None:
     features = extract_modalities(dataset)
     print(
         f"tabular features: {features.tabular.shape[1]}, "
-        f"graph features: {features.graph.shape[1]}, "
-        f"adjacency images: {features.graph_images.shape[1:]}"
+        f"graph features: {features.graph.shape[1]}"
     )
 
     # 3. Hold out a test set of real designs, then train NOODLE with GAN

@@ -3,14 +3,15 @@
 Public entry points:
 
 * :class:`NoodleConfig` / :func:`default_config` — configuration;
-* :class:`CNNModalityClassifier` — the per-modality CNN;
+* :class:`CNNModalityClassifier` — the per-modality CNN, one per modality
+  over its flat feature row (tabular or graph);
 * :class:`SingleModalityModel`, :class:`EarlyFusionModel`,
   :class:`LateFusionModel` — the fusion strategies of Table I;
 * :class:`NOODLE` — Algorithm 2 end to end (fit both fusions, pick the
   winner by Brier score, emit risk-aware decisions).
 """
 
-from .classifiers import CNNModalityClassifier, ImageCNNClassifier
+from .classifiers import CNNModalityClassifier
 from .config import ClassifierConfig, NoodleConfig, default_config
 from .fusion import (
     ConformalFusionModel,
@@ -28,7 +29,6 @@ __all__ = [
     "ConformalFusionModel",
     "EarlyFusionModel",
     "FusionEvaluation",
-    "ImageCNNClassifier",
     "LateFusionModel",
     "NOODLE",
     "NoodleConfig",

@@ -1,11 +1,12 @@
-"""Per-modality CNN classifiers.
+"""Per-modality CNN classifier.
 
 The paper uses CNN-based classifiers for both modalities.  Here each
 modality's flat feature vector is treated as a one-channel 1-D signal and
-classified by a small convolutional network (two conv blocks, global
-average pooling, a dense head); a 2-D variant consumes the adjacency-image
-representation of the graph modality.  Both expose the
-``fit`` / ``predict_proba`` protocol the conformal layer expects.
+classified by a small convolutional network (two conv blocks, a dense
+head) that exposes the ``fit`` / ``predict_proba`` protocol the conformal
+layer expects.  The backend seam (:meth:`CNNModalityClassifier.set_backend`)
+routes inference through the golden float64 forward pass or a compiled
+:mod:`repro.nn.backend` plan.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from ..features.scaling import StandardScaler
 from ..nn.dtype import as_float
 from ..nn import (
     Conv1d,
-    Conv2d,
     Dense,
     Dropout,
     Flatten,
     MaxPool1d,
-    MaxPool2d,
     ReLU,
     Sequential,
     Sigmoid,
@@ -32,48 +31,7 @@ from ..nn.backend import DEFAULT_BACKEND, InferencePlan, get_backend
 from .config import ClassifierConfig
 
 
-class _BackendMixin:
-    """Compute-backend selection shared by the CNN classifiers.
-
-    The golden ``numpy`` backend routes inference through the model's own
-    float64 forward pass (bit-identical to training); any other backend
-    lazily compiles an inference plan (fused float32) on first use
-    and reuses it — including its scratch buffers — across calls.  Fitting
-    invalidates the plan because plans snapshot the weights at compile.
-    """
-
-    _model: Sequential
-
-    def set_backend(self, name: str) -> "_BackendMixin":
-        """Select the inference backend.
-
-        Raises ``ValueError`` for unknown backend names.
-        """
-        get_backend(name)  # validate eagerly so callers get a clear error
-        self._backend = name
-        self._plan = None
-        return self
-
-    @property
-    def backend(self) -> str:
-        """Name of the active inference backend."""
-        return getattr(self, "_backend", DEFAULT_BACKEND)
-
-    def _invalidate_plan(self) -> None:
-        self._plan = None
-
-    def _infer_proba(self, x: np.ndarray) -> np.ndarray:
-        """Model probabilities via the active backend's inference plan."""
-        if self.backend == DEFAULT_BACKEND:
-            return self._model.predict_proba(x)
-        plan: Optional[InferencePlan] = getattr(self, "_plan", None)
-        if plan is None:
-            plan = get_backend(self._backend).compile(self._model)
-            self._plan = plan
-        return plan.predict_proba(x)
-
-
-class CNNModalityClassifier(_BackendMixin):
+class CNNModalityClassifier:
     """1-D CNN over a flat feature vector (one modality)."""
 
     def __init__(self, n_features: int, config: Optional[ClassifierConfig] = None) -> None:
@@ -114,6 +72,36 @@ class CNNModalityClassifier(_BackendMixin):
             learning_rate=self.config.learning_rate,
         )
 
+    # -- compute backend ----------------------------------------------------
+    def set_backend(self, name: str) -> "CNNModalityClassifier":
+        """Select the inference backend.
+
+        Raises ``ValueError`` for unknown backend names.
+        """
+        get_backend(name)  # validate eagerly so callers get a clear error
+        self._backend = name
+        self._plan: Optional[InferencePlan] = None
+        return self
+
+    @property
+    def backend(self) -> str:
+        """Name of the active inference backend."""
+        return self._backend
+
+    def _infer_proba(self, x: np.ndarray) -> np.ndarray:
+        """Model probabilities via the active backend's inference plan.
+
+        The golden ``numpy`` backend runs the model's own float64 forward
+        pass (bit-identical to training); any other backend compiles a
+        plan on first use and reuses it, scratch buffers included.
+        Fitting drops the plan, because a plan snapshots the weights.
+        """
+        if self._backend == DEFAULT_BACKEND:
+            return self._model.predict_proba(x)
+        if self._plan is None:
+            self._plan = get_backend(self._backend).compile(self._model)
+        return self._plan.predict_proba(x)
+
     # -- data plumbing ------------------------------------------------------
     def _reshape(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], 1, self.n_features)
@@ -133,7 +121,7 @@ class CNNModalityClassifier(_BackendMixin):
             batch_size=self.config.batch_size,
             rng=np.random.default_rng(self.config.seed + 1),
         )
-        self._invalidate_plan()
+        self._plan = None
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -147,70 +135,3 @@ class CNNModalityClassifier(_BackendMixin):
 
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(x)[:, 1] >= threshold).astype(int)
-
-
-class ImageCNNClassifier(_BackendMixin):
-    """2-D CNN over adjacency images ``(N, 1, K, K)`` (graph modality variant)."""
-
-    def __init__(self, image_size: int, config: Optional[ClassifierConfig] = None) -> None:
-        if image_size < 4:
-            raise ValueError("image_size must be at least 4")
-        self.config = config or ClassifierConfig()
-        self.config.validate()
-        self.image_size = image_size
-        self._rng = np.random.default_rng(self.config.seed)
-        self._model = self._build()
-        self.set_backend(DEFAULT_BACKEND)
-
-    def _build(self) -> Sequential:
-        c1, c2 = self.config.channels
-        k = self.config.kernel_size
-        padding = k // 2
-        pooled = self.image_size // 2 // 2
-        if pooled < 1:
-            raise ValueError("image_size too small for two pooling stages")
-        layers = [
-            Conv2d(1, c1, kernel_size=k, padding=padding, rng=self._rng),
-            ReLU(),
-            MaxPool2d(2),
-            Conv2d(c1, c2, kernel_size=k, padding=padding, rng=self._rng),
-            ReLU(),
-            MaxPool2d(2),
-            Flatten(),
-            Dense(c2 * pooled * pooled, self.config.dense_units, rng=self._rng),
-            ReLU(),
-        ]
-        if self.config.dropout > 0:
-            layers.append(Dropout(self.config.dropout, rng=self._rng))
-        layers.extend([Dense(self.config.dense_units, 1, rng=self._rng), Sigmoid()])
-        return Sequential(
-            layers,
-            loss="bce",
-            optimizer="adam",
-            learning_rate=self.config.learning_rate,
-        )
-
-    def fit(self, images: np.ndarray, y: np.ndarray) -> "ImageCNNClassifier":
-        images = as_float(images)
-        y = as_float(y).reshape(-1)
-        expected = (1, self.image_size, self.image_size)
-        if images.ndim != 4 or images.shape[1:] != expected:
-            raise ValueError(f"expected images of shape (N, {expected}), got {images.shape}")
-        self._model.fit(
-            images,
-            y,
-            epochs=self.config.epochs,
-            batch_size=self.config.batch_size,
-            rng=np.random.default_rng(self.config.seed + 1),
-        )
-        self._invalidate_plan()
-        return self
-
-    def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        images = as_float(images)
-        positive = self._infer_proba(images).reshape(-1)
-        positive = np.clip(positive, 0.0, 1.0)
-        return np.column_stack([1.0 - positive, positive])
-
-    def predict(self, images: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(images)[:, 1] >= threshold).astype(int)

@@ -48,7 +48,6 @@ from .. import __version__
 from ..core.config import NoodleConfig, default_config
 from ..faults import DEFAULT_MAX_QUEUE_DEPTH, FAILPOINTS_ENV, FailpointSpecError
 from ..faults import configure as configure_failpoints
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..features.pipeline import extract_modalities
 from ..gan import AmplificationConfig, GANConfig
 from ..nn.backend import DEFAULT_BACKEND, available_backends
@@ -270,6 +269,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.generate < 0:
         print("error: --generate must be non-negative", file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--jobs", args.jobs), ("--workers", args.workers)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     use_scheduler = args.jobs > 1 or args.resume
     if use_scheduler and args.workers is not None:
         print(
@@ -441,15 +444,14 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
     for ns in features["namespaces"]:
         print(
             f"  schema {ns['schema']}: {ns['n_rows']} rows, "
-            f"{ns['n_shards']} shards ({_format_bytes(ns['bytes'])})"
+            f"{ns['n_shards']} shards, {ns['n_segments']} segments "
+            f"({_format_bytes(ns['bytes'])})"
         )
     return EXIT_OK
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    summary = gc_feature_tier(
-        default_feature_store_dir(args.cache_dir), image_size=args.image_size
-    )
+    summary = gc_feature_tier(default_feature_store_dir(args.cache_dir))
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return EXIT_OK
@@ -806,14 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_gc.add_argument(
         "--cache-dir", default=".repro_cache", help="cache directory to collect"
-    )
-    cache_gc.add_argument(
-        "--image-size",
-        type=int,
-        default=DEFAULT_IMAGE_SIZE,
-        metavar="K",
-        help="adjacency-image side length identifying the live schema "
-        "namespace (must match what scans use)",
     )
     cache_gc.add_argument(
         "--json", action="store_true", help="print the summary as JSON"

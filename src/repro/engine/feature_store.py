@@ -1,42 +1,42 @@
 """Model-independent feature cache: extracted modalities keyed by content hash.
 
 The scan pipeline is two-stage: expensive per-design feature extraction
-(HDL lex/parse, graph construction, adjacency-image rendering — all pure
-Python) followed by a cheap batched CNN forward pass + ``searchsorted``
-conformal p-values.  The result cache (:mod:`repro.engine.cache`) sits
-*above* both stages and is namespaced by model fingerprint, so the exact
-workflow the serving layer promotes — recalibrate, hot-reload, rescan —
-used to invalidate everything and re-pay the dominant extraction cost for
-designs whose source never changed.
+(HDL lex/parse, graph construction, graph and tabular features — mostly
+pure Python) followed by a cheap batched CNN forward pass +
+``searchsorted`` conformal p-values.  The result cache
+(:mod:`repro.engine.cache`) sits *above* both stages and is namespaced by
+model fingerprint, so the exact workflow the serving layer promotes —
+recalibrate, hot-reload, rescan — used to invalidate everything and
+re-pay the dominant extraction cost for designs whose source never
+changed.
 
 :class:`FeatureStore` is the missing tier underneath: a content-addressed
-store of the assembled multimodal feature rows
-(``(tabular, graph, graph_image)`` as produced by
-:func:`repro.features.pipeline.extract_design_modalities`), keyed by the
-design's SHA-256 content hash and **independent of any model**.  With it,
-a rescan under a fresh fingerprint pays only the forward pass: feature
-rows are looked up by content hash, assembled into the batch matrix and
-pushed straight through inference.
+store of the assembled multimodal feature rows (``(tabular, graph)`` as
+produced by :func:`repro.features.pipeline.extract_design_modalities`),
+keyed by the design's SHA-256 content hash and **independent of any
+model**.  With it, a rescan under a fresh fingerprint pays only the
+forward pass: feature rows are looked up by content hash, assembled into
+the batch matrix and pushed straight through inference.
 
 Correctness of the tier rests on two invariants:
 
 * **Content addressing** — a design's features are a pure function of its
-  source text (and the image size), so a row written once is valid for
-  every future scan of identical source bytes, under any model.
+  source text, so a row written once is valid for every future scan of
+  identical source bytes, under any model.
 * **Schema fingerprinting** — the store is namespaced by a fingerprint of
   the feature *schema* (:func:`feature_schema_fingerprint`): the feature
-  name lists, the image size and
-  :data:`repro.features.pipeline.FEATURE_EXTRACTION_VERSION`.  Changing
-  feature-extraction code bumps the version, which moves the store to a
-  fresh namespace — stale rows are never looked up again (invalidation by
-  construction, exactly like the result tier's model fingerprint).
+  name lists and :data:`repro.features.pipeline.FEATURE_EXTRACTION_VERSION`.
+  Changing feature-extraction code bumps the version, which moves the
+  store to a fresh namespace — stale rows are never looked up again
+  (invalidation by construction, exactly like the result tier's model
+  fingerprint).
 
 On disk the store mirrors the result cache's concurrency discipline while
 packing rows densely for zero-copy batch assembly: rows live in per-shard
 ``.npz`` files under ``<root>/<schema16>/shards/`` keyed by a prefix of
-the content hash, each holding stacked ``tabular`` / ``graph`` /
-``images`` matrices plus the parallel ``keys`` array.  All files are
-written atomically (temp file + ``os.replace``); unreadable files are
+the content hash, each holding a ``meta`` JSON blob, the ``keys`` array
+and the parallel stacked ``tabular`` and ``graph`` matrices.  All files
+are written atomically (temp file + ``os.replace``); unreadable files are
 quarantined as ``*.corrupt`` and their rows simply re-extracted.  Loaded
 rows are *views* into the shard matrices — serving a warm batch never
 copies per-design arrays.
@@ -70,18 +70,17 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from ..faults import corrupting_failpoint, failpoint
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..features.pipeline import feature_schema_fingerprint
 from ..obs.metrics import REGISTRY
 from .cache import _NamespaceLock, _file_size, _quarantine
 
 logger = logging.getLogger(__name__)
 
-#: One extracted design: ``(tabular_row, graph_row, graph_image)``.
-FeatureRow = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One extracted design: ``(tabular_row, graph_row)``.
+FeatureRow = Tuple[np.ndarray, np.ndarray]
 
 #: Bump when the on-disk shard layout (not the feature schema) changes.
-FEATURE_STORE_VERSION = 1
+FEATURE_STORE_VERSION = 2
 
 # Feature-tier telemetry (process-wide; see docs/OBSERVABILITY.md).
 _FEATURE_HITS = REGISTRY.counter(
@@ -125,9 +124,6 @@ class FeatureStore:
     directory:
         Feature-tier root shared by every schema fingerprint (conventionally
         ``<cache_dir>/features``, see :func:`default_feature_store_dir`).
-    image_size:
-        Adjacency-image side length; part of the schema fingerprint, so
-        stores with different image sizes never mix rows.
     shard_prefix_len:
         How many leading hex characters of a row's content hash select its
         shard file.
@@ -136,13 +132,11 @@ class FeatureStore:
     def __init__(
         self,
         directory: Union[str, Path],
-        image_size: int = DEFAULT_IMAGE_SIZE,
         shard_prefix_len: int = DEFAULT_SHARD_PREFIX_LEN,
     ) -> None:
         self.directory = Path(directory)
-        self.image_size = image_size
         self.shard_prefix_len = shard_prefix_len
-        self.schema_fingerprint = feature_schema_fingerprint(image_size=image_size)
+        self.schema_fingerprint = feature_schema_fingerprint()
         self.namespace_dir = self.directory / self.schema_fingerprint[:16]
         self._shards_dir = self.namespace_dir / SHARDS_DIRNAME
         self._lock = _NamespaceLock(self.namespace_dir / ".lock")
@@ -204,18 +198,15 @@ class FeatureStore:
                 keys = [str(k) for k in data["keys"]]
                 tabular = data["tabular"]
                 graph = data["graph"]
-                images = data["images"]
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile,
                 zlib.error, struct.error,
                 json.JSONDecodeError, UnicodeDecodeError) as exc:
             _quarantine(path, exc if isinstance(exc, Exception) else ValueError(exc))
             return {}
-        if not (len(keys) == tabular.shape[0] == graph.shape[0] == images.shape[0]):
+        if not len(keys) == tabular.shape[0] == graph.shape[0]:
             _quarantine(path, ValueError("shard arrays have mismatched lengths"))
             return {}
-        return {
-            key: (tabular[i], graph[i], images[i]) for i, key in enumerate(keys)
-        }
+        return {key: (tabular[i], graph[i]) for i, key in enumerate(keys)}
 
     def _ensure_prefix_loaded(self, prefix: str) -> None:
         """Lazily read the files backing a hash prefix (once).
@@ -258,13 +249,9 @@ class FeatureStore:
 
     def put(self, sha256: str, row: FeatureRow) -> None:
         """Insert (or overwrite) the feature row for a content hash."""
-        tabular, graph, image = row
+        tabular, graph = row
         with self._mem_lock:
-            self._rows[sha256] = (
-                np.asarray(tabular),
-                np.asarray(graph),
-                np.asarray(image),
-            )
+            self._rows[sha256] = (np.asarray(tabular), np.asarray(graph))
             self._dirty_keys.add(sha256)
 
     # -- persistence ---------------------------------------------------------
@@ -277,7 +264,6 @@ class FeatureStore:
         keys = sorted(rows)
         tabular = np.stack([rows[k][0] for k in keys], axis=0)
         graph = np.stack([rows[k][1] for k in keys], axis=0)
-        images = np.stack([rows[k][2] for k in keys], axis=0)
         meta = json.dumps(
             {
                 "store_version": FEATURE_STORE_VERSION,
@@ -292,7 +278,6 @@ class FeatureStore:
             keys=np.array(keys),
             tabular=tabular,
             graph=graph,
-            images=images,
         )
         tmp_path = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp_path.write_bytes(buffer.getvalue())
@@ -431,20 +416,18 @@ def describe_feature_tier(directory: Union[str, Path]) -> Dict[str, Any]:
     }
 
 
-def gc_feature_tier(
-    directory: Union[str, Path], image_size: int = DEFAULT_IMAGE_SIZE
-) -> Dict[str, Any]:
+def gc_feature_tier(directory: Union[str, Path]) -> Dict[str, Any]:
     """Garbage-collect a feature-tier root (``python -m repro cache-gc``).
 
     Two maintenance passes:
 
-    * **Compact** the namespace of the *current* feature schema (for the
-      given image size): every append-only segment file is folded into
-      its base shard, restoring one-open-per-prefix reads.
+    * **Compact** the namespace of the *current* feature schema: every
+      append-only segment file is folded into its base shard, restoring
+      one-open-per-prefix reads.
     * **Remove** retired schema namespaces — directories written under an
       older :data:`~repro.features.pipeline.FEATURE_EXTRACTION_VERSION`
-      or a different image size.  Their rows can never be looked up
-      again, so they are dead weight by construction.
+      or feature-name list.  Their rows can never be looked up again, so
+      they are dead weight by construction.
 
     Returns a summary dict: the compacted namespace, segments folded,
     retired namespaces removed, and bytes reclaimed from them.
@@ -452,7 +435,7 @@ def gc_feature_tier(
     import shutil
 
     root = Path(directory)
-    store = FeatureStore(root, image_size=image_size)
+    store = FeatureStore(root)
     current = store.namespace_dir.name
     folded = store.compact()
     removed: List[str] = []

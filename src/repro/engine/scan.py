@@ -35,7 +35,6 @@ from ..core.fusion import ConformalFusionModel
 from ..core.noodle import build_decisions
 from ..core.results import ScanRecord
 from ..faults import SHARD_DEADLINE_S
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
 from ..obs.metrics import REGISTRY
@@ -147,30 +146,29 @@ def sources_from_pairs(pairs: Iterable[Tuple[str, str]]) -> List[ScanSource]:
 
 
 def _extract_worker(
-    task: Tuple[int, str, int],
-) -> Tuple[int, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[str]]:
-    """Pool worker: ``(index, source, image_size)`` -> features or error text."""
-    index, source, image_size = task
+    task: Tuple[int, str],
+) -> Tuple[int, Optional[Tuple[np.ndarray, np.ndarray]], Optional[str]]:
+    """Pool worker: ``(index, source)`` -> features or error text."""
+    index, source = task
     try:
-        return index, extract_design_modalities(source, image_size=image_size), None
+        return index, extract_design_modalities(source), None
     except Exception as exc:  # front-end errors become per-design records
         return index, None, f"{type(exc).__name__}: {exc}"
 
 
 def _extract_chunk(
-    tasks: List[Tuple[int, str, int]],
-) -> List[Tuple[int, Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[str]]]:
+    tasks: List[Tuple[int, str]],
+) -> List[Tuple[int, Optional[Tuple[np.ndarray, np.ndarray]], Optional[str]]]:
     """Pool worker: :func:`_extract_worker` over a chunk of tasks, in order."""
     return [_extract_worker(task) for task in tasks]
 
 
 def extract_feature_rows(
     sources: Sequence[ScanSource],
-    image_size: int = DEFAULT_IMAGE_SIZE,
     workers: Optional[int] = None,
     store: Optional[FeatureStore] = None,
-) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]], Dict[int, str]]:
-    """Extract ``(tabular, graph, image)`` rows for every source.
+) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], Dict[int, str]]:
+    """Extract ``(tabular, graph)`` rows for every source.
 
     Returns ``(rows, errors)`` keyed by source index.  ``workers`` defaults
     to ``min(4, cpu_count)``; pass ``1`` for the serial path, which is also
@@ -192,14 +190,14 @@ def extract_feature_rows(
     flushes).  The store's ``n_hits`` / ``n_misses`` counters account for
     the lookups.
     """
-    tasks: List[Tuple[int, str, int]] = []
-    rows: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    tasks: List[Tuple[int, str]] = []
+    rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for i, src in enumerate(sources):
         hit = store.get(src.sha256) if store is not None else None
         if hit is not None:
             rows[i] = hit
         else:
-            tasks.append((i, src.source, image_size))
+            tasks.append((i, src.source))
     if workers is None:
         workers = min(4, multiprocessing.cpu_count() or 1)
     results: List[Tuple[int, Optional[Tuple], Optional[str]]] = []
@@ -242,9 +240,8 @@ def extract_feature_rows(
 
 
 def assemble_features(
-    rows: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rows: Sequence[Tuple[np.ndarray, np.ndarray]],
     names: Sequence[str],
-    image_size: int = DEFAULT_IMAGE_SIZE,
 ) -> MultimodalFeatures:
     """Assemble per-design feature rows into one batched feature container.
 
@@ -260,22 +257,18 @@ def assemble_features(
         return MultimodalFeatures(
             tabular=np.empty((0, 0)),
             graph=np.empty((0, 0)),
-            graph_images=np.empty((0, 1, image_size, image_size)),
             labels=np.full(0, -1, dtype=int),
             names=list(names),
         )
-    first_tab, first_graph, first_image = rows[0]
+    first_tab, first_graph = rows[0]
     tabular = np.empty((n, first_tab.shape[-1]), dtype=first_tab.dtype)
     graph = np.empty((n, first_graph.shape[-1]), dtype=first_graph.dtype)
-    graph_images = np.empty((n, *first_image.shape), dtype=first_image.dtype)
-    for j, (tab, gra, img) in enumerate(rows):
+    for j, (tab, gra) in enumerate(rows):
         tabular[j] = tab
         graph[j] = gra
-        graph_images[j] = img
     return MultimodalFeatures(
         tabular=tabular,
         graph=graph,
-        graph_images=graph_images,
         labels=np.full(n, -1, dtype=int),
         names=list(names),
     )
@@ -528,8 +521,6 @@ class ScanEngine:
         content hash is in the store skip the HDL front-end entirely —
         a rescan under a fresh model fingerprint (recalibration, hot
         reload) pays only the forward pass.
-    image_size:
-        Adjacency-image size the feature pipeline was trained with.
     backend:
         Compute backend for the forward pass (see
         :mod:`repro.nn.backend`): ``"numpy"`` is the golden float64
@@ -543,7 +534,6 @@ class ScanEngine:
         fingerprint: str = "unversioned",
         cache: Optional[ScanCache] = None,
         feature_store: Optional[FeatureStore] = None,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         backend: str = DEFAULT_BACKEND,
     ) -> None:
         get_backend(backend)  # validate the name before any work happens
@@ -551,7 +541,6 @@ class ScanEngine:
         self.fingerprint = fingerprint
         self.cache = cache
         self.feature_store = feature_store
-        self.image_size = image_size
         self.backend = backend
         #: Default tracer used when :meth:`scan_sources` is not handed one
         #: explicitly (the scheduler's serial path and pool workers set it).
@@ -570,7 +559,6 @@ class ScanEngine:
         artifact_path: Union[str, Path],
         cache_dir: Optional[Union[str, Path]] = None,
         feature_store_dir: Optional[Union[str, Path]] = None,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         backend: str = DEFAULT_BACKEND,
     ) -> "ScanEngine":
         """Load a persisted detector and (optionally) attach the cache tiers.
@@ -585,18 +573,9 @@ class ScanEngine:
         model, manifest = load_detector(artifact_path)
         fingerprint = manifest.get("fingerprint", "unversioned")
         cache = ScanCache(cache_dir, fingerprint) if cache_dir is not None else None
-        store = (
-            FeatureStore(feature_store_dir, image_size=image_size)
-            if feature_store_dir is not None
-            else None
-        )
+        store = FeatureStore(feature_store_dir) if feature_store_dir is not None else None
         return cls(
-            model,
-            fingerprint=fingerprint,
-            cache=cache,
-            feature_store=store,
-            image_size=image_size,
-            backend=backend,
+            model, fingerprint=fingerprint, cache=cache, feature_store=store, backend=backend
         )
 
     # -- scanning ------------------------------------------------------------
@@ -647,10 +626,7 @@ class ScanEngine:
         with trace_span(tracer, "scan/extract", designs=len(pending)) as sp_extract:
             rows, errors = (
                 extract_feature_rows(
-                    [sources[i] for i in pending],
-                    image_size=self.image_size,
-                    workers=workers,
-                    store=store,
+                    [sources[i] for i in pending], workers=workers, store=store
                 )
                 if pending
                 else ({}, {})
@@ -676,9 +652,7 @@ class ScanEngine:
                 ]
                 with trace_span(tracer, "scan/featurize", designs=len(scanned)):
                     batch = assemble_features(
-                        ordered_rows,
-                        [sources[i].name for i in scanned],
-                        self.image_size,
+                        ordered_rows, [sources[i].name for i in scanned]
                     )
                 profiled = self.backend != DEFAULT_BACKEND
                 if profiled:

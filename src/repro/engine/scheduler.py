@@ -46,7 +46,6 @@ from ..core.config import NoodleConfig
 from ..core.fusion import ConformalFusionModel
 from ..core.results import ScanRecord
 from ..faults import SHARD_DEADLINE_S, SHARD_RETRY_POLICY, failpoint
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import Tracer, trace_span
 from .blas import limit_blas_threads
@@ -119,44 +118,34 @@ def corpus_digest(sources: Sequence[ScanSource]) -> str:
 _WORKER_ENGINE: Optional[ScanEngine] = None
 
 
-def _init_scan_worker(payload: Tuple[str, Any, str, int, Optional[str], str]) -> None:
+def _init_scan_worker(payload: Tuple[str, Any, str, Optional[str], str]) -> None:
     """Pool initializer: build the per-process engine exactly once.
 
-    ``payload`` is ``("artifact", path, fingerprint, image_size,
-    feature_store_dir, backend)`` — each worker loads the persisted
-    detector itself — or ``("model", pickled_model, fingerprint,
-    image_size, feature_store_dir, backend)`` for in-memory models.  The
-    compute backend is applied per worker.  Workers never touch the
-    *result* cache (the parent owns all result-cache I/O, so a scan keeps
-    a single writer per process tree), but each worker opens its own
-    handle on the shared model-independent feature store: the store's
-    ``flock`` + read-merge-write flush discipline makes any number of
-    concurrent writers safe, and sharing it means a shard full of
-    already-seen designs skips extraction inside the worker too.  Each
-    worker runs with one BLAS thread
+    ``payload`` is ``("artifact", path, fingerprint, feature_store_dir,
+    backend)`` — each worker loads the persisted detector itself — or
+    ``("model", pickled_model, fingerprint, feature_store_dir, backend)``
+    for in-memory models.  The compute backend is applied per worker.
+    Workers never touch the *result* cache (the parent owns all
+    result-cache I/O, so a scan keeps a single writer per process tree),
+    but each worker opens its own handle on the shared model-independent
+    feature store: the store's ``flock`` + read-merge-write flush
+    discipline makes any number of concurrent writers safe, and sharing it
+    means a shard full of already-seen designs skips extraction inside the
+    worker too.  Each worker runs with one BLAS thread
     (:func:`repro.engine.blas.limit_blas_threads`).
     """
     global _WORKER_ENGINE
     limit_blas_threads()
-    kind, spec, fingerprint, image_size, feature_store_dir, backend = payload
+    kind, spec, fingerprint, feature_store_dir, backend = payload
     if kind == "artifact":
         from .artifacts import load_detector
 
         model, _ = load_detector(spec)
     else:
         model = pickle.loads(spec)
-    store = (
-        FeatureStore(feature_store_dir, image_size=image_size)
-        if feature_store_dir is not None
-        else None
-    )
+    store = FeatureStore(feature_store_dir) if feature_store_dir is not None else None
     _WORKER_ENGINE = ScanEngine(
-        model,
-        fingerprint=fingerprint,
-        cache=None,
-        feature_store=store,
-        image_size=image_size,
-        backend=backend,
+        model, fingerprint=fingerprint, cache=None, feature_store=store, backend=backend
     )
 
 
@@ -340,8 +329,6 @@ class ScanScheduler:
         failed (and re-queueing it under the retry budget).  Guards
         against pool workers that died hard (OOM, SIGKILL), whose results
         would otherwise never arrive; ``None`` disables the deadline.
-    image_size:
-        Adjacency-image size the feature pipeline was trained with.
     default_confidence:
         Confidence level used when a scan does not specify one; resolved
         from the model config (or artifact manifest) when omitted.
@@ -361,7 +348,6 @@ class ScanScheduler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         default_confidence: Optional[float] = None,
         backend: str = "numpy",
     ) -> None:
@@ -382,7 +368,6 @@ class ScanScheduler:
         self.shard_size = shard_size
         self.max_retries = max_retries
         self.shard_timeout = shard_timeout
-        self.image_size = image_size
         from ..nn.backend import get_backend
 
         get_backend(backend)  # validate the name before any pool spins up
@@ -412,7 +397,6 @@ class ScanScheduler:
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_retries: int = DEFAULT_MAX_RETRIES,
         shard_timeout: Optional[float] = DEFAULT_SHARD_TIMEOUT,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         backend: str = "numpy",
     ) -> "ScanScheduler":
         """Build a scheduler over a persisted detector (the CLI path).
@@ -436,7 +420,6 @@ class ScanScheduler:
             shard_size=shard_size,
             max_retries=max_retries,
             shard_timeout=shard_timeout,
-            image_size=image_size,
             backend=backend,
         )
 
@@ -457,7 +440,7 @@ class ScanScheduler:
         self.close()
 
     # -- internals -----------------------------------------------------------
-    def _worker_payload(self) -> Tuple[str, Any, str, int, Optional[str], str]:
+    def _worker_payload(self) -> Tuple[str, Any, str, Optional[str], str]:
         store_dir = (
             str(self.feature_store_dir) if self.feature_store_dir is not None else None
         )
@@ -466,7 +449,6 @@ class ScanScheduler:
                 "artifact",
                 str(self.artifact_path),
                 self.fingerprint,
-                self.image_size,
                 store_dir,
                 self.backend,
             )
@@ -474,7 +456,6 @@ class ScanScheduler:
             "model",
             pickle.dumps(self.model, protocol=pickle.HIGHEST_PROTOCOL),
             self.fingerprint,
-            self.image_size,
             store_dir,
             self.backend,
         )
@@ -509,7 +490,7 @@ class ScanScheduler:
 
                 model, _ = load_detector(self.artifact_path)
             store = (
-                FeatureStore(self.feature_store_dir, image_size=self.image_size)
+                FeatureStore(self.feature_store_dir)
                 if self.feature_store_dir is not None
                 else None
             )
@@ -518,7 +499,6 @@ class ScanScheduler:
                 fingerprint=self.fingerprint,
                 cache=None,
                 feature_store=store,
-                image_size=self.image_size,
                 backend=self.backend,
             )
         return self._parent_engine_cache

@@ -208,7 +208,6 @@ def run_missing_modality_ablation(
     zero_filled = MultimodalFeatures(
         tabular=np.nan_to_num(damaged.tabular, nan=0.0),
         graph=np.nan_to_num(damaged.graph, nan=0.0),
-        graph_images=damaged.graph_images,
         labels=damaged.labels,
         names=list(damaged.names),
         tabular_feature_names=damaged.tabular_feature_names,

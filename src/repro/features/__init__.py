@@ -2,9 +2,12 @@
 
 * Tabular (Euclidean) modality — code-branching features of the AST
   (:mod:`repro.features.tabular`).
-* Graph modality — signal data-flow graph statistics and adjacency images
-  (:mod:`repro.features.graph_builder`, :mod:`repro.features.graph_features`,
-  :mod:`repro.features.image`).
+* Graph modality — signal data-flow graph statistics
+  (:mod:`repro.features.graph_builder`, :mod:`repro.features.graph_features`).
+
+A feature row is ``(tabular, graph)``.  :mod:`repro.features.image` renders
+a graph as a fixed-size adjacency image; no model reads it and the scan
+path does not call it.
 """
 
 from .graph_builder import (

@@ -1,13 +1,11 @@
 """Graph modality: fixed-length feature embedding of the data-flow graph.
 
 The CNN classifiers need a fixed-size numeric representation per design.
-Two complementary representations are produced from the data-flow graph:
-
-* :func:`graph_feature_vector` — a vector of structural graph statistics
-  (size, degree profile, connectivity, spectral summary, role counts),
-  loosely following the statistics graph-kernel methods aggregate;
-* :mod:`repro.features.image` — a 2-D "adjacency image" fed to the Conv2d
-  classifier (see that module).
+:func:`graph_feature_vector` gives one: a vector of structural graph
+statistics (size, degree profile, connectivity, spectral summary, role
+counts), loosely following the statistics graph-kernel methods aggregate.
+(:mod:`repro.features.image` renders the graph as a 2-D adjacency image;
+no model reads it.)
 
 Trojan logic perturbs these statistics: triggers add high-fan-in comparator
 nodes and weakly connected counter chains; payload muxes add edges from the

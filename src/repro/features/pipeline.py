@@ -2,11 +2,10 @@
 
 The :class:`MultimodalFeatures` container holds, for a population of designs:
 
-* ``tabular``       -- the (N, F_t) code-branching feature matrix;
-* ``graph``         -- the (N, F_g) graph-statistics feature matrix;
-* ``graph_images``  -- the (N, 1, K, K) adjacency images for the Conv2d path;
-* ``labels``        -- ground-truth labels;
-* ``names``         -- design names (for reporting).
+* ``tabular`` -- the (N, F_t) code-branching feature matrix;
+* ``graph``   -- the (N, F_g) graph-statistics feature matrix;
+* ``labels``  -- ground-truth labels;
+* ``names``   -- design names (for reporting).
 
 Missing modalities (the practical concern the paper addresses with GAN
 imputation) are represented as rows of ``NaN``; :meth:`with_missing_modality`
@@ -26,7 +25,7 @@ from ..hdl.parser import parse_module
 from ..trojan.dataset import TrojanDataset
 from .graph_builder import build_dataflow_graph
 from .graph_features import GRAPH_FEATURE_NAMES, graph_feature_vector
-from .image import DEFAULT_IMAGE_SIZE, adjacency_image
+from .image import adjacency_image  # noqa: F401 - off the scan path; perfbench/worker.py wraps this name
 from .tabular import TABULAR_FEATURE_NAMES, tabular_feature_vector
 
 #: Modality identifiers used across the fusion code.
@@ -36,30 +35,28 @@ MODALITIES = (MODALITY_GRAPH, MODALITY_TABULAR)
 
 #: Version of the feature-extraction *code*.  Bump this whenever a change
 #: to the extractors (:mod:`repro.features.tabular`,
-#: :mod:`repro.features.graph_features`, :mod:`repro.features.image`, the
-#: HDL front-end they parse with, or this pipeline) can alter the numbers
-#: produced for unchanged source text.  The bump changes
+#: :mod:`repro.features.graph_features`, the HDL front-end they parse with,
+#: or this pipeline) can alter the rows produced for unchanged source text,
+#: or when the row's layout changes.  The bump changes
 #: :func:`feature_schema_fingerprint`, which moves the model-independent
 #: feature cache (:class:`repro.engine.feature_store.FeatureStore`) to a
 #: fresh namespace, so stale rows are never served.
-FEATURE_EXTRACTION_VERSION = 1
+FEATURE_EXTRACTION_VERSION = 2
 
 
-def feature_schema_fingerprint(image_size: int = DEFAULT_IMAGE_SIZE) -> str:
+def feature_schema_fingerprint() -> str:
     """SHA-256 fingerprint of the feature schema produced by this pipeline.
 
     Covers everything that determines the *meaning and shape* of an
-    extracted feature row: the extraction-code version, both ordered
-    feature-name lists and the adjacency-image size.  Two processes agree
-    on this fingerprint exactly when their extracted rows are
-    interchangeable.
+    extracted feature row: the extraction-code version and both ordered
+    feature-name lists.  Two processes agree on this fingerprint exactly
+    when their extracted rows are interchangeable.
     """
     payload = json.dumps(
         {
             "extraction_version": FEATURE_EXTRACTION_VERSION,
             "tabular": list(TABULAR_FEATURE_NAMES),
             "graph": list(GRAPH_FEATURE_NAMES),
-            "image_size": int(image_size),
         },
         sort_keys=True,
     )
@@ -72,7 +69,6 @@ class MultimodalFeatures:
 
     tabular: np.ndarray
     graph: np.ndarray
-    graph_images: np.ndarray
     labels: np.ndarray
     names: List[str] = field(default_factory=list)
     tabular_feature_names: List[str] = field(
@@ -84,9 +80,7 @@ class MultimodalFeatures:
 
     def __post_init__(self) -> None:
         n = len(self.labels)
-        if not (
-            self.tabular.shape[0] == self.graph.shape[0] == self.graph_images.shape[0] == n
-        ):
+        if not self.tabular.shape[0] == self.graph.shape[0] == n:
             raise ValueError("all modality arrays must have the same number of samples")
 
     def __len__(self) -> int:
@@ -107,7 +101,6 @@ class MultimodalFeatures:
             self,
             tabular=self.tabular[indices],
             graph=self.graph[indices],
-            graph_images=self.graph_images[indices],
             labels=self.labels[indices],
             names=[self.names[i] for i in indices] if self.names else [],
         )
@@ -162,38 +155,25 @@ class MultimodalFeatures:
         return self.subset(sorted(train_idx)), self.subset(sorted(test_idx))
 
 
-def extract_design_modalities(
-    source: str, image_size: int = DEFAULT_IMAGE_SIZE
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract ``(tabular, graph, graph_image)`` for a single design."""
+def extract_design_modalities(source: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Extract ``(tabular, graph)`` for a single design."""
     module = parse_module(source)
     graph = build_dataflow_graph(module)
-    return (
-        tabular_feature_vector(module),
-        graph_feature_vector(graph),
-        adjacency_image(graph, size=image_size),
-    )
+    return tabular_feature_vector(module), graph_feature_vector(graph)
 
 
-def extract_modalities(
-    dataset: TrojanDataset, image_size: int = DEFAULT_IMAGE_SIZE
-) -> MultimodalFeatures:
+def extract_modalities(dataset: TrojanDataset) -> MultimodalFeatures:
     """Extract both modalities for every design in ``dataset``."""
     tabular_rows: List[np.ndarray] = []
     graph_rows: List[np.ndarray] = []
-    images: List[np.ndarray] = []
     for benchmark in dataset:
-        tab, gra, img = extract_design_modalities(benchmark.source, image_size=image_size)
+        tab, gra = extract_design_modalities(benchmark.source)
         tabular_rows.append(tab)
         graph_rows.append(gra)
-        images.append(img)
     n = len(dataset)
     return MultimodalFeatures(
         tabular=np.vstack(tabular_rows) if n else np.empty((0, len(TABULAR_FEATURE_NAMES))),
         graph=np.vstack(graph_rows) if n else np.empty((0, len(GRAPH_FEATURE_NAMES))),
-        graph_images=np.stack(images, axis=0)
-        if n
-        else np.empty((0, 1, image_size, image_size)),
         labels=dataset.labels,
         names=dataset.names,
     )

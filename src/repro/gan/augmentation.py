@@ -123,10 +123,8 @@ def amplify_multimodal(
 
     For every class, one GAN is trained on the *concatenation* of the graph
     and tabular features so each synthetic design receives a coherent pair
-    of modalities, which is what fusion later consumes.  Adjacency images
-    for synthetic designs are not regenerated (the flat graph features are
-    the graph modality used by the classifiers); image rows for synthetic
-    samples are filled with zeros and flagged via their position.
+    of modalities, which is what fusion later consumes.  Synthetic designs
+    follow the real ones and are named ``GAN-synth<i>``.
     """
     config = config or AmplificationConfig()
     config.validate()
@@ -137,15 +135,11 @@ def amplify_multimodal(
     graph_aug = joint_aug[:, :n_graph]
     tabular_aug = joint_aug[:, n_graph:]
     n_new = int(is_synthetic.sum())
-    image_shape = features.graph_images.shape[1:]
-    synthetic_images = np.zeros((n_new,) + image_shape)
-    images_aug = np.concatenate([features.graph_images, synthetic_images], axis=0)
     synthetic_names = [f"GAN-synth{i:04d}" for i in range(n_new)]
 
     return MultimodalFeatures(
         tabular=tabular_aug,
         graph=graph_aug,
-        graph_images=images_aug,
         labels=labels_aug,
         names=list(features.names) + synthetic_names,
         tabular_feature_names=features.tabular_feature_names,

@@ -198,7 +198,6 @@ def impute_missing_modalities(
     return MultimodalFeatures(
         tabular=tabular,
         graph=graph,
-        graph_images=features.graph_images,
         labels=features.labels,
         names=list(features.names),
         tabular_feature_names=features.tabular_feature_names,

@@ -23,10 +23,15 @@ The split of responsibilities is deliberate:
   ``service.dispatch(request, respond)`` with a :class:`ParsedRequest`
   in and a thread-safe ``respond(status, payload)`` callback out.
 
-Responses on one connection are written in request order: the parser
-pauses after dispatching a request and resumes (possibly on bytes that
-were pipelined long ago) only once the response is queued, so
-micro-batch completion order can never reorder a client's stream.
+Responses on one connection are written in request order.  One request
+per connection is in flight at a time; while it is, the parser keeps
+reading ahead and queues each further complete request in the
+connection's ``pending`` queue, up to ``max_pipelined_requests``.  The
+request past that budget is queued as a 429 that closes the connection
+once everything before it is answered.  Each response written starts
+the next queued request, so micro-batch completion order can never
+reorder a client's stream.  A ``100 Continue`` owed to a queued request
+waits until every earlier response is written.
 """
 
 from __future__ import annotations

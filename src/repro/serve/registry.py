@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..faults import RELOAD_PROBE_TTL_S
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..engine.artifacts import MANIFEST_NAME, load_detector
 from ..engine.cache import ScanCache
 from ..engine.feature_store import FeatureStore, default_feature_store_dir
@@ -96,8 +95,6 @@ class ModelRegistry:
         Root of the sharded scan-result cache; each loaded model gets a
         :class:`repro.engine.cache.ScanCache` namespaced by its own
         fingerprint.  ``None`` serves uncached.
-    image_size:
-        Adjacency-image size the feature pipeline was trained with.
     cache_shard_prefix_len:
         Hash-prefix length of the attached caches' shard files.  The
         serving default is ``1`` (16 shards): a service is a single
@@ -132,7 +129,6 @@ class ModelRegistry:
     def __init__(
         self,
         cache_dir: Optional[Union[str, Path]] = None,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         cache_shard_prefix_len: int = 1,
         feature_cache: bool = True,
         feature_store_dir: Optional[Union[str, Path]] = None,
@@ -140,7 +136,6 @@ class ModelRegistry:
         backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.image_size = image_size
         self.cache_shard_prefix_len = cache_shard_prefix_len
         self.reload_ttl_s = reload_ttl_s
         get_backend(backend)  # unknown names fail at construction
@@ -151,9 +146,7 @@ class ModelRegistry:
         # model-independent, so reloads and multi-model serving all share
         # (and keep warming) the same content-addressed rows.
         self.feature_store: Optional[FeatureStore] = (
-            FeatureStore(feature_store_dir, image_size=image_size)
-            if feature_store_dir is not None
-            else None
+            FeatureStore(feature_store_dir) if feature_store_dir is not None else None
         )
         # ``_lock`` guards only the dictionaries below — never a model
         # load.  Loading happens under the per-path lock so one tenant's
@@ -202,7 +195,6 @@ class ModelRegistry:
             fingerprint=fingerprint,
             cache=cache,
             feature_store=self.feature_store,
-            image_size=self.image_size,
             backend=self.backend,
         )
         return RegisteredModel(

@@ -67,7 +67,6 @@ from ..faults import (
     active_failpoints,
     failpoint,
 )
-from ..features.image import DEFAULT_IMAGE_SIZE
 from ..obs.drift import (
     DEFAULT_CLEAR_MARGIN,
     DEFAULT_MIN_OBSERVATIONS,
@@ -349,7 +348,6 @@ class ScanService:
         cache_dir: Optional[Union[str, Path]] = None,
         feature_cache: bool = True,
         feature_store_dir: Optional[Union[str, Path]] = None,
-        image_size: int = DEFAULT_IMAGE_SIZE,
         allow_paths: bool = True,
         flush_every: int = 128,
         backend: str = "numpy",
@@ -383,7 +381,6 @@ class ScanService:
         self.metrics = ServiceMetrics()
         self.registry = ModelRegistry(
             cache_dir=cache_dir,
-            image_size=image_size,
             feature_cache=feature_cache,
             feature_store_dir=feature_store_dir,
             backend=backend,

@@ -10,7 +10,6 @@ from repro.core import (
     ClassifierConfig,
     CNNModalityClassifier,
     EarlyFusionModel,
-    ImageCNNClassifier,
     LateFusionModel,
     NoodleConfig,
     SingleModalityModel,
@@ -39,11 +38,9 @@ def synthetic_multimodal() -> MultimodalFeatures:
     signal = labels[:, None].astype(float)
     graph = 1.2 * signal + rng.normal(size=(n, 10)) * 0.9
     tabular = 0.9 * signal + rng.normal(size=(n, 8)) * 1.1
-    images = rng.random((n, 1, 8, 8))
     return MultimodalFeatures(
         tabular=tabular,
         graph=graph,
-        graph_images=images,
         labels=labels,
         names=[f"d{i}" for i in range(n)],
         tabular_feature_names=[f"t{i}" for i in range(8)],
@@ -92,20 +89,6 @@ class TestCNNClassifiers:
             classifier.fit(np.ones((5, 8)), np.zeros(5))
         with pytest.raises(ValueError):
             CNNModalityClassifier(0)
-
-    def test_image_cnn_shapes(self) -> None:
-        rng = np.random.default_rng(1)
-        images = rng.random((40, 1, 8, 8))
-        labels = (images.mean(axis=(1, 2, 3)) > np.median(images.mean(axis=(1, 2, 3)))).astype(int)
-        classifier = ImageCNNClassifier(8, ClassifierConfig(epochs=15, seed=0))
-        classifier.fit(images, labels)
-        proba = classifier.predict_proba(images)
-        assert proba.shape == (40, 2)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_image_cnn_rejects_small_images(self) -> None:
-        with pytest.raises(ValueError):
-            ImageCNNClassifier(2)
 
 
 class TestFusionModels:

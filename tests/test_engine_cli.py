@@ -210,6 +210,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--workers" in err and "--jobs" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--jobs", "0"), ("--jobs", "-2"), ("--workers", "0"), ("--workers", "-3")],
+    )
+    def test_parallelism_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        # A missing artifact shows the check runs before the artifact
+        # loads: without it the scan would fail with exit 1 instead.
+        code = main(
+            [
+                "scan",
+                "--artifact", str(tmp_path / "nope"),
+                "--generate", "2",
+                "--no-cache",
+                flag, value,
+            ]
+        )
+        assert code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
 
 class TestParallelScanCli:
     def test_jobs_2_matches_single_process_scan(self, artifact, tmp_path, capsys):
@@ -610,6 +629,11 @@ class TestProfileAndCacheInfo:
         out = capsys.readouterr().out
         assert "result tier" in out and "feature tier" in out
         assert "4 records" in out and "4 rows" in out
+        # A fresh scan's rows sit in append-only segment files, not shards.
+        assert main(["cache-info", "--cache-dir", cache, "--json"]) == 0
+        (namespace,) = json.loads(capsys.readouterr().out)["feature_tier"]["namespaces"]
+        assert namespace["n_shards"] == 0 and namespace["n_segments"] >= 1
+        assert f"0 shards, {namespace['n_segments']} segments" in out
 
     def test_cache_info_json_mode(self, artifact, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -762,6 +786,12 @@ class TestCacheGcCli:
         assert data["retired_namespaces_removed"] == []
         assert data["n_segments_folded"] >= 1  # the scan's flush wrote segments
         assert data["bytes_reclaimed"] == 0
+
+    def test_image_size_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache-gc", "--cache-dir", str(tmp_path / "c"), "--image-size", "8"])
+        assert excinfo.value.code == 2
+        assert "--image-size" in capsys.readouterr().err
 
     def test_gc_on_missing_cache_dir_is_clean(self, tmp_path, capsys):
         assert main(["cache-gc", "--cache-dir", str(tmp_path / "absent")]) == 0

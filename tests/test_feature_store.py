@@ -4,6 +4,8 @@ rescan-after-reload speed gate and pre-feature-tier cache directories."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.engine.feature_store import (
 )
 from repro.engine.scan import assemble_features, extract_feature_rows, sources_from_pairs
 from repro.engine.scheduler import ScanScheduler
+from repro.features import GRAPH_FEATURE_NAMES, TABULAR_FEATURE_NAMES
 from repro.features.pipeline import feature_schema_fingerprint
 from repro.perf import speedup, time_callable
 from repro.trojan import SuiteConfig, TrojanDataset
@@ -41,6 +44,42 @@ def scan_batch():
 
 def _shard_files(store: FeatureStore):
     return sorted(store.namespace_dir.glob("shards/*.npz"))
+
+
+def _write_image_era_namespace(directory, keys):
+    """A namespace as stores wrote it before rows dropped the adjacency image.
+
+    Schema fingerprint over extraction version 1 and ``image_size`` 16,
+    store version 1, and shards carrying an ``images`` array.
+    """
+    schema = hashlib.sha256(
+        json.dumps(
+            {
+                "extraction_version": 1,
+                "tabular": list(TABULAR_FEATURE_NAMES),
+                "graph": list(GRAPH_FEATURE_NAMES),
+                "image_size": 16,
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+    ).hexdigest()
+    meta = json.dumps(
+        {"store_version": 1, "schema_fingerprint": schema}, sort_keys=True
+    ).encode("utf-8")
+    n = len(keys)
+    buffer = io.BytesIO()
+    np.savez(
+        buffer,
+        meta=np.frombuffer(meta, dtype=np.uint8),
+        keys=np.array(sorted(keys)),
+        tabular=np.zeros((n, len(TABULAR_FEATURE_NAMES))),
+        graph=np.zeros((n, len(GRAPH_FEATURE_NAMES))),
+        images=np.zeros((n, 1, 16, 16)),
+    )
+    namespace = directory / schema[:16]
+    (namespace / "shards").mkdir(parents=True)
+    (namespace / "shards" / "0.npz").write_bytes(buffer.getvalue())
+    return namespace
 
 
 class TestRoundTrip:
@@ -70,6 +109,15 @@ class TestRoundTrip:
         assert not errors
         assert warm.n_hits == len(scan_batch) and warm.n_misses == 0
         assert len(rows) == len(scan_batch)
+
+    def test_shard_holds_only_meta_keys_tabular_and_graph(self, scan_batch, tmp_path):
+        store = FeatureStore(tmp_path / "features")
+        rows, _ = extract_feature_rows(scan_batch, workers=1, store=store)
+        assert all(len(row) == 2 for row in rows.values())
+        store.flush()
+        for shard in _shard_files(store):
+            with np.load(shard, allow_pickle=False) as data:
+                assert sorted(data.files) == ["graph", "keys", "meta", "tabular"]
 
     def test_shard_bytes_are_deterministic(self, scan_batch, tmp_path):
         for name in ("a", "b"):
@@ -125,16 +173,6 @@ class TestCorruptionQuarantine:
 
 
 class TestSchemaInvalidation:
-    def test_different_image_size_uses_a_disjoint_namespace(
-        self, scan_batch, tmp_path
-    ):
-        store16 = FeatureStore(tmp_path / "features", image_size=16)
-        extract_feature_rows(scan_batch, workers=1, store=store16)
-        store16.flush()
-        store8 = FeatureStore(tmp_path / "features", image_size=8)
-        assert store8.namespace_dir != store16.namespace_dir
-        assert all(store8.get(src.sha256) is None for src in scan_batch)
-
     def test_extraction_version_bump_invalidates(
         self, scan_batch, tmp_path, monkeypatch
     ):
@@ -149,13 +187,18 @@ class TestSchemaInvalidation:
         assert bumped.namespace_dir != store.namespace_dir
         assert all(bumped.get(src.sha256) is None for src in scan_batch)
 
-    def test_foreign_schema_shard_is_ignored_not_served(self, scan_batch, tmp_path):
+    def test_foreign_schema_shard_is_ignored_not_served(
+        self, scan_batch, tmp_path, monkeypatch
+    ):
         store = FeatureStore(tmp_path / "features")
         extract_feature_rows(scan_batch, workers=1, store=store)
         store.flush()
         # Forge a namespace-dir collision: move the shards under a fake
         # namespace whose 16-char prefix another schema would claim.
-        foreign = FeatureStore(tmp_path / "features", image_size=8)
+        import repro.features.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "FEATURE_EXTRACTION_VERSION", 999)
+        foreign = FeatureStore(tmp_path / "features")
         foreign_shards = foreign.namespace_dir / "shards"
         foreign_shards.mkdir(parents=True)
         for shard in _shard_files(store):
@@ -234,16 +277,14 @@ class TestByteIdenticalRecords:
         batch = assemble_features(rows, names)
         assert np.array_equal(batch.tabular, np.vstack([r[0] for r in rows]))
         assert np.array_equal(batch.graph, np.vstack([r[1] for r in rows]))
-        assert np.array_equal(
-            batch.graph_images, np.stack([r[2] for r in rows], axis=0)
-        )
         assert batch.tabular.dtype == rows[0][0].dtype
-        assert batch.graph_images.dtype == rows[0][2].dtype
+        assert batch.graph.dtype == rows[0][1].dtype
 
     def test_empty_assembly_shapes(self):
-        batch = assemble_features([], [], image_size=16)
+        batch = assemble_features([], [])
         assert batch.tabular.shape[0] == 0
-        assert batch.graph_images.shape == (0, 1, 16, 16)
+        assert batch.graph.shape[0] == 0
+        assert len(batch) == 0
 
 
 class TestEngineIntegration:
@@ -437,6 +478,18 @@ class TestGcFeatureTier:
         reread = FeatureStore(directory)
         for src in scan_batch:
             assert reread.get(src.sha256) is not None
+
+    def test_gc_removes_a_namespace_written_with_images(self, scan_batch, tmp_path):
+        # Rows that carried the adjacency image live under the old schema
+        # fingerprint; they are never read and plain gc removes them.
+        directory = tmp_path / "features"
+        old = _write_image_era_namespace(directory, [s.sha256 for s in scan_batch])
+        store = FeatureStore(directory)
+        assert store.namespace_dir != old
+        assert all(store.get(src.sha256) is None for src in scan_batch)
+        summary = gc_feature_tier(directory)
+        assert summary["retired_namespaces_removed"] == [old.name]
+        assert not old.exists()
 
     def test_gc_on_empty_directory(self, tmp_path):
         summary = gc_feature_tier(tmp_path / "nothing")

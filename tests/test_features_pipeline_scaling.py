@@ -27,15 +27,15 @@ class TestExtractionPipeline:
         n = len(small_dataset)
         assert small_features.tabular.shape == (n, len(TABULAR_FEATURE_NAMES))
         assert small_features.graph.shape == (n, len(GRAPH_FEATURE_NAMES))
-        assert small_features.graph_images.shape[0] == n
         assert len(small_features.labels) == n
         assert small_features.names == small_dataset.names
 
     def test_single_design_extraction(self, sample_verilog) -> None:
-        tabular, graph, image = extract_design_modalities(sample_verilog)
+        row = extract_design_modalities(sample_verilog)
+        assert len(row) == 2
+        tabular, graph = row
         assert tabular.shape == (len(TABULAR_FEATURE_NAMES),)
         assert graph.shape == (len(GRAPH_FEATURE_NAMES),)
-        assert image.ndim == 3
 
     def test_modality_accessor(self, small_features) -> None:
         assert small_features.modality(MODALITY_TABULAR) is small_features.tabular
@@ -57,7 +57,6 @@ class TestExtractionPipeline:
             MultimodalFeatures(
                 tabular=small_features.tabular[:3],
                 graph=small_features.graph,
-                graph_images=small_features.graph_images,
                 labels=small_features.labels,
             )
 

@@ -70,7 +70,7 @@ def paper_1d_model(rng=None) -> Sequential:
 
 
 def paper_2d_model(rng=None) -> Sequential:
-    """The 2-D CNN stack ImageCNNClassifier builds (16x16 images)."""
+    """A two-block 2-D CNN stack over 16x16 single-channel inputs."""
     rng = rng or np.random.default_rng(6)
     return Sequential(
         [

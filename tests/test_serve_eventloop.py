@@ -64,32 +64,56 @@ def _raw_request(
     return head.encode("ascii") + b"\r\n" + body
 
 
-def _read_responses(sock: socket.socket, n: int, timeout: float = 30.0):
-    """Read ``n`` Content-Length-framed responses; returns (status, json) pairs."""
-    sock.settimeout(timeout)
-    buffer = b""
-    out = []
-    for _ in range(n):
-        while b"\r\n\r\n" not in buffer:
-            chunk = sock.recv(65536)
+class _ByteStream:
+    """The server's byte stream on one socket, read in exact pieces."""
+
+    def __init__(self, sock: socket.socket, timeout: float = 30.0) -> None:
+        sock.settimeout(timeout)
+        self.sock = sock
+        self.buffer = b""
+
+    def _fill(self, n: int) -> None:
+        while len(self.buffer) < n:
+            chunk = self.sock.recv(65536)
             if not chunk:
-                raise ConnectionError(f"EOF after {len(out)}/{n} responses")
-            buffer += chunk
-        head, _, buffer = buffer.partition(b"\r\n\r\n")
+                raise ConnectionError(f"EOF with {len(self.buffer)}/{n} bytes")
+            self.buffer += chunk
+
+    def take(self, n: int) -> bytes:
+        self._fill(n)
+        out, self.buffer = self.buffer[:n], self.buffer[n:]
+        return out
+
+    def response(self):
+        """The next Content-Length-framed response: ``(status, json or None)``."""
+        while b"\r\n\r\n" not in self.buffer:
+            self._fill(len(self.buffer) + 1)
+        head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
         status = int(head.split(b"\r\n")[0].split()[1])
         length = 0
         for line in head.split(b"\r\n")[1:]:
             key, _, value = line.partition(b":")
             if key.strip().lower() == b"content-length":
                 length = int(value.strip())
-        while len(buffer) < length:
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("EOF mid-body")
-            buffer += chunk
-        out.append((status, json.loads(buffer[:length])))
-        buffer = buffer[length:]
-    return out
+        body = self.take(length)
+        return status, json.loads(body) if body else None
+
+
+def _read_responses(sock: socket.socket, n: int, timeout: float = 30.0):
+    """Read ``n`` Content-Length-framed responses; returns (status, json) pairs."""
+    stream = _ByteStream(sock, timeout)
+    return [stream.response() for _ in range(n)]
+
+
+_INTERIM = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def _expect_continue_head(body: bytes) -> bytes:
+    """Headers of a scan request that withholds ``body`` until a 100 arrives."""
+    return (
+        "POST /scan HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+        f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii")
 
 
 class TestConnectionChurn:
@@ -286,6 +310,62 @@ class TestSlowLoris:
                 # (0.2s) threefold; the sweep must leave it alone.
                 ((status, payload),) = _read_responses(sock, 1)
                 assert status == 200, payload
+
+
+class TestExpectContinue:
+    """``Expect: 100-continue``: where the interim line falls in the stream."""
+
+    def test_interim_line_is_written_before_the_body_arrives(self, artifact, corpus):
+        first, second = corpus[0], corpus[1]
+        body = _scan_payload(first.name, first.source)
+        with ScanService(artifact, port=0) as svc:
+            with ScanServiceClient(svc.host, svc.port) as probe:
+                probe.wait_until_ready()
+            with socket.create_connection((svc.host, svc.port), timeout=30.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                stream = _ByteStream(sock)
+                sock.sendall(_expect_continue_head(body))
+                # Nothing is in flight, so the interim line is the first
+                # thing the server writes, before any body byte is sent.
+                assert stream.take(len(_INTERIM)) == _INTERIM
+                sock.sendall(
+                    body
+                    + _raw_request(
+                        "POST", "/scan", _scan_payload(second.name, second.source)
+                    )
+                )
+                for source in (first, second):
+                    status, payload = stream.response()
+                    assert status == 200, payload
+                    assert payload["records"][0]["name"] == source.name
+
+    def test_pipelined_interim_line_waits_for_the_earlier_response(
+        self, artifact, corpus
+    ):
+        first, second = corpus[2], corpus[3]
+        body = _scan_payload(second.name, second.source)
+        # A held batch window keeps the first scan in flight while the
+        # second request's headers are parsed behind it.
+        with ScanService(artifact, port=0, batch_window_s=0.3, max_batch=64) as svc:
+            with ScanServiceClient(svc.host, svc.port) as probe:
+                probe.wait_until_ready()
+            with socket.create_connection((svc.host, svc.port), timeout=30.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                stream = _ByteStream(sock)
+                sock.sendall(
+                    _raw_request("POST", "/scan", _scan_payload(first.name, first.source))
+                    + _expect_continue_head(body)
+                )
+                # The first response comes out whole, and only then the
+                # interim line owed to the request queued behind it.
+                status, payload = stream.response()
+                assert status == 200, payload
+                assert payload["records"][0]["name"] == first.name
+                assert stream.take(len(_INTERIM)) == _INTERIM
+                sock.sendall(body)
+                status, payload = stream.response()
+                assert status == 200, payload
+                assert payload["records"][0]["name"] == second.name
 
 
 class TestMidBatchDrain:

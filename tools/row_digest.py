@@ -15,12 +15,15 @@ Run with::
 ``perfbench/gen.py``: the 1,000 ``scan_cold`` suite designs and the eight
 ``scan_large`` wide designs.  ``digest`` extracts every design of a corpus
 with ``extract_design_modalities`` of whichever ``repro`` is on
-``PYTHONPATH`` and prints one JSON object,
-``{"extraction_version", "designs", "sha256", "ast_sha256"}``, where
-``sha256`` covers the shape and bytes of every row in corpus order and
-``ast_sha256`` the ``repr`` of every design's parsed module.  Two trees with
-equal ``extraction_version``, which also versions the HDL front-end, must
-print equal digests of both kinds (the CI ``feature-drift`` job).
+``PYTHONPATH`` and prints one JSON object, ``{"extraction_version",
+"designs", "sha256", "tabular_sha256", "graph_sha256", "ast_sha256"}``.
+``sha256`` covers the shape and bytes of every array of every row in corpus
+order, ``tabular_sha256`` and ``graph_sha256`` the same for row positions 0
+and 1 alone, and ``ast_sha256`` the ``repr`` of every design's parsed
+module.  Two trees with equal ``extraction_version``, which also versions
+the HDL front-end, must print equal digests (the CI ``feature-drift`` job).
+When a version bump changes only the row's layout, equal per-modality
+digests show that the tabular and graph features did not move.
 """
 
 from __future__ import annotations
@@ -52,17 +55,22 @@ def digest_corpus(path: Path) -> Dict[str, object]:
     from repro.hdl.parser import parse_module
 
     designs: List[List[str]] = json.loads(path.read_text(encoding="utf-8"))["designs"]
-    digest = hashlib.sha256()
-    ast_digest = hashlib.sha256()
+    digest, tabular, graph, ast_digest = (hashlib.sha256() for _ in range(4))
     for _, source in designs:
-        for row in extract_design_modalities(source):
-            digest.update(repr(row.shape).encode("ascii"))
-            digest.update(row.tobytes())
+        row = extract_design_modalities(source)
+        for array, modality in zip(row, (tabular, graph)):
+            modality.update(repr(array.shape).encode("ascii"))
+            modality.update(array.tobytes())
+        for array in row:
+            digest.update(repr(array.shape).encode("ascii"))
+            digest.update(array.tobytes())
         ast_digest.update(repr(parse_module(source)).encode("utf-8"))
     return {
         "extraction_version": FEATURE_EXTRACTION_VERSION,
         "designs": len(designs),
         "sha256": digest.hexdigest(),
+        "tabular_sha256": tabular.hexdigest(),
+        "graph_sha256": graph.hexdigest(),
         "ast_sha256": ast_digest.hexdigest(),
     }
 

@@ -11,6 +11,13 @@ combined p-values.
 All methods are *valid* combiners (conservative under independence or in
 the worst case), so the combined conformal predictor retains coverage
 guarantees.
+
+Fisher's method, the default, ends in a chi-square tail.  For 2 to 20
+modalities it comes from :mod:`._chisq`, a pure-``math`` port of Cephes
+``igam.c`` (the power series of DLMF 8.11.4 and the continued fraction of
+DLMF 8.9.2) that is bit-identical to ``scipy.special.chdtrc``, so scanning
+and serving never import scipy.  Fisher over one or more than 20
+modalities and Stouffer's method import ``scipy.special`` when called.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Union
 
 import numpy as np
-from scipy import special
+
+from . import _chisq
 
 CombinationFn = Callable[[np.ndarray], np.ndarray]
 
@@ -39,21 +47,39 @@ def _validate(p_values: np.ndarray) -> np.ndarray:
 def fisher_combination(p_values: np.ndarray) -> np.ndarray:
     """Fisher's method: ``-2 * sum(log p)`` is chi-squared with 2N dof.
 
-    ``chdtrc`` is the chi-squared survival ufunc behind
-    ``scipy.stats.chi2.sf``, which returns 1 for a statistic at or below 0;
-    clamping at 0 gives the same bits without importing ``scipy.stats``.
+    The tail is ``chdtrc``, the chi-squared survival function behind
+    ``scipy.stats.chi2.sf``, which returns 1 for a statistic at or below 0.
+    For 2 to 20 modalities it is Cephes ``igamc`` (``igam.c``: DLMF 8.11.4
+    below the mean, DLMF 8.9.2 above it) ported to ``math``, evaluated
+    once per distinct statistic: non-smoothed conformal p-values take at
+    most ``n_cal + 1`` values per modality, so a batch repeats few.  One
+    modality reaches a branch the port leaves out, and more than 20 reach
+    Cephes' asymptotic series, so those call ``scipy.special.chdtrc``.
     """
     p = _validate(p_values)
-    statistic = -2.0 * np.log(p).sum(axis=1)
-    return special.chdtrc(2 * p.shape[1], np.maximum(statistic, 0.0))
+    statistic = np.maximum(-2.0 * np.log(p).sum(axis=1), 0.0)
+    n_modalities = p.shape[1]
+    if not _chisq.MIN_HALF_DOF <= n_modalities <= _chisq.MAX_HALF_DOF:
+        from scipy import special
+
+        return special.chdtrc(2 * n_modalities, statistic)
+    distinct, inverse = np.unique(statistic, return_inverse=True)
+    tails = np.array(
+        [_chisq.chdtrc(2 * n_modalities, value) for value in distinct.tolist()],
+        dtype=np.float64,
+    )
+    return tails[inverse]
 
 
 def stouffer_combination(p_values: np.ndarray) -> np.ndarray:
     """Stouffer's method: sum of z-scores, renormalised.
 
     ``-ndtri(q)`` and ``ndtr(-z)`` are the ufuncs behind
-    ``scipy.stats.norm.isf`` and ``norm.sf``.
+    ``scipy.stats.norm.isf`` and ``norm.sf``; ``scipy.special`` is
+    imported here so that the default Fisher path never loads it.
     """
+    from scipy import special
+
     p = _validate(p_values)
     z = -special.ndtri(np.clip(p, _EPS, 1 - 1e-12))
     combined = z.sum(axis=1) / np.sqrt(p.shape[1])

@@ -269,10 +269,17 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.generate < 0:
         print("error: --generate must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    for flag, value in (("--jobs", args.jobs), ("--workers", args.workers)):
+    for flag, value in (
+        ("--jobs", args.jobs),
+        ("--workers", args.workers),
+        ("--shard-size", args.shard_size),
+    ):
         if value is not None and value < 1:
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return EXIT_USAGE
+    if args.confidence is not None and not 0.0 < args.confidence < 1.0:
+        print("error: --confidence must be in (0, 1)", file=sys.stderr)
+        return EXIT_USAGE
     use_scheduler = args.jobs > 1 or args.resume
     if use_scheduler and args.workers is not None:
         print(

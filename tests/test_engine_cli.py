@@ -229,6 +229,49 @@ class TestExitCodes:
         assert code == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--shard-size", "0"],
+            ["--shard-size", "-4"],
+            ["--shard-size", "0", "--jobs", "2"],
+            ["--shard-size", "0", "--resume"],
+        ],
+        ids=["zero", "negative", "jobs", "resume"],
+    )
+    def test_shard_size_below_one_is_usage_error(self, tmp_path, capsys, flags):
+        # Checked before the (missing) artifact loads, with or without the
+        # scheduler that reads the value.
+        code = main(
+            [
+                "scan",
+                "--artifact", str(tmp_path / "nope"),
+                "--generate", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+                *flags,
+            ]
+        )
+        assert code == 2
+        assert "--shard-size must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.2", "0", "1", "nan", "inf"])
+    def test_confidence_outside_unit_interval_is_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        code = main(
+            [
+                "scan",
+                "--artifact", str(tmp_path / "nope"),
+                "--generate", "2",
+                "--no-cache",
+                "--confidence", value,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--confidence must be in (0, 1)" in captured.err
+        assert "generated a demo batch" not in captured.out  # checked first
+
 
 class TestParallelScanCli:
     def test_jobs_2_matches_single_process_scan(self, artifact, tmp_path, capsys):
@@ -887,18 +930,32 @@ class TestServeCliParsing:
 
 
 class TestImportFootprint:
-    """Start-up guard: no scan or serve process loads networkx or scipy.stats.
+    """Start-up guard: no scan or serve process loads networkx or scipy.
 
     Both packages cost a fresh process most of its time to a first verdict;
-    the scan path needs neither (only the golden references use networkx).
+    the scan path needs neither (only the golden references use them).
     Nor does a scan need the service's HTTP stack.
     """
 
+    #: Makes every scipy import fail, as on an install without scipy.
+    _BLOCK_SCIPY = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+    )
+    #: ``python -c`` body that then runs the CLI on the remaining arguments.
+    _REPRO_WITHOUT_SCIPY = _BLOCK_SCIPY + (
+        "import runpy\n"
+        "sys.argv[0] = 'repro'\n"
+        "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+    )
+
     @staticmethod
-    def _imported_modules(args, cwd):
+    def _env():
         import os
-        import subprocess
-        import sys
         from pathlib import Path
 
         src_dir = str(Path(__file__).resolve().parents[1] / "src")
@@ -906,11 +963,18 @@ class TestImportFootprint:
         env["PYTHONPATH"] = os.pathsep.join(
             [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
+        return env
+
+    @classmethod
+    def _imported_modules(cls, args, cwd):
+        import subprocess
+        import sys
+
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", *args],
             capture_output=True,
             text=True,
-            env=env,
+            env=cls._env(),
             cwd=cwd,
             timeout=300,
         )
@@ -926,7 +990,7 @@ class TestImportFootprint:
         heavy = sorted(
             name
             for name in modules
-            if name.split(".")[0] == "networkx" or name.split(".")[:2] == ["scipy", "stats"]
+            if name.split(".")[0] in ("networkx", "scipy")
         )
         assert not heavy, heavy[:10]
 
@@ -954,3 +1018,106 @@ class TestImportFootprint:
         modules = self._imported_modules(["-c", "import repro.serve.server"], tmp_path)
         assert "repro.serve.server" in modules
         self._assert_lean(modules)
+
+    def test_scipy_blocker_blocks(self, tmp_path):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", self._BLOCK_SCIPY + "import scipy.special\n"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "ModuleNotFoundError: No module named 'scipy'" in proc.stderr
+
+    def test_cli_scan_without_scipy_gives_the_same_records(self, artifact, tmp_path):
+        import subprocess
+        import sys
+
+        scan_args = [
+            "scan",
+            "--artifact", str(artifact),
+            "--generate", "4",
+            "--generate-seed", "5",
+            "--no-cache",
+        ]
+        blocked_out = tmp_path / "blocked.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", self._REPRO_WITHOUT_SCIPY,
+                *scan_args, "--output", str(blocked_out),
+            ],
+            capture_output=True,
+            text=True,
+            env=self._env(),
+            cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        plain_out = tmp_path / "plain.json"
+        assert main(scan_args + ["--output", str(plain_out)]) == 0
+        blocked = json.loads(blocked_out.read_text())["records"]
+        assert len(blocked) == 4
+        assert blocked == json.loads(plain_out.read_text())["records"]
+
+    def test_serve_without_scipy_answers_scans(self, artifact, tmp_path):
+        import subprocess
+        import sys
+        import time
+
+        from repro.serve.client import ScanServiceClient
+
+        sources = build_scan_batch(2, seed=5)
+        plain_out = tmp_path / "plain.json"
+        assert main(
+            [
+                "scan",
+                "--artifact", str(artifact),
+                "--generate", "2",
+                "--generate-seed", "5",
+                "--no-cache",
+                "--output", str(plain_out),
+            ]
+        ) == 0
+        plain = json.loads(plain_out.read_text())["records"]
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-c", self._REPRO_WITHOUT_SCIPY,
+                "serve",
+                "--artifact", str(artifact),
+                "--port", "0",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=self._env(),
+            cwd=tmp_path,
+        )
+        try:
+            port = None
+            lines = []
+            deadline = time.monotonic() + 120.0
+            while port is None and time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                lines.append(line)
+                if "http://" in line:
+                    port = int(line.split("http://")[1].split()[0].rsplit(":", 1)[1])
+            assert port is not None, "".join(lines)[-2000:]
+            # The client raises on any status outside 2xx.
+            with ScanServiceClient("127.0.0.1", port) as client:
+                assert client.wait_until_ready(timeout=60.0)["status"] == "ok"
+                served = client.scan_texts([(s.name, s.source) for s in sources])
+        finally:
+            proc.terminate()
+            try:
+                proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.communicate()
+        assert served["records"] == plain

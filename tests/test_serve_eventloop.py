@@ -372,14 +372,27 @@ class TestMidBatchDrain:
     def test_shutdown_mid_window_drains_every_accepted_request(
         self, artifact, corpus
     ):
-        """Requests inside an open batch window finish with 200 on shutdown."""
+        """Requests accepted before a shutdown finish with 200, in one batch.
+
+        A gate request holds the lane's batch worker inside its scan until
+        the test releases it, so all 8 requests are accepted and queued
+        behind it however busy the host is.  The service shuts down while
+        they wait; the drain must then answer every one of them.
+        """
         svc = ScanService(
             artifact, port=0, batch_window_s=1.0, max_batch=64
         ).start()
-        with ScanServiceClient(svc.host, svc.port) as probe:
-            probe.wait_until_ready()
+        batcher = svc.batcher
         n_requests = 8
         outcomes = [None] * n_requests
+        entered, release = threading.Event(), threading.Event()
+        scan = batcher.scan_fn
+
+        def held_scan(sources, confidence):
+            if not entered.is_set():
+                entered.set()
+                release.wait(60.0)
+            return scan(sources, confidence)
 
         def scan_one(i: int) -> None:
             source = corpus[i % len(corpus)]
@@ -394,27 +407,45 @@ class TestMidBatchDrain:
                 outcomes[i] = _read_responses(sock, 1, timeout=60.0)[0]
 
         threads = [
-            threading.Thread(target=scan_one, args=(i,)) for i in range(n_requests)
+            threading.Thread(target=scan_one, args=(i,), daemon=True)
+            for i in range(n_requests)
         ]
-        for thread in threads:
-            thread.start()
-        # Wait until every request is inside the batcher's open window,
-        # then yank the service out from under them.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if svc.batcher.in_flight_requests >= n_requests:
-                break
-            time.sleep(0.01)
-        assert svc.batcher.in_flight_requests >= n_requests
-        svc.shutdown()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in threads)
+        stopper = threading.Thread(target=svc.shutdown, daemon=True)
+        try:
+            with ScanServiceClient(svc.host, svc.port) as probe:
+                probe.wait_until_ready()
+            batcher.scan_fn = held_scan
+            batcher.submit_nowait([corpus[0]], on_done=lambda result, error: None)
+            assert entered.wait(30.0), "the gate batch never started"
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            while batcher.queue_depth < n_requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert batcher.queue_depth == n_requests
+            assert batcher.in_flight_requests >= n_requests
+            # Shut down while all 8 wait, then let the worker drain them.
+            stopper.start()
+            while not batcher.closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert batcher.closed
+            release.set()
+            stopper.join(timeout=60.0)
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not stopper.is_alive()
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            release.set()
+            if stopper.is_alive():
+                stopper.join(timeout=60.0)
+            svc.shutdown()
         for i, outcome in enumerate(outcomes):
             assert outcome is not None, f"request {i} got no response"
             status, payload = outcome
             assert status == 200, (i, payload)
             assert payload["records"][0]["decision"] is not None
+            assert payload["batch"]["requests"] == n_requests
 
     def test_requests_after_drain_are_refused_not_hung(self, artifact, corpus):
         svc = ScanService(artifact, port=0, batch_window_s=0.0).start()

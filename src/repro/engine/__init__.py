@@ -9,17 +9,17 @@ subsystem built from three parts:
   training happens once and scanning happens many times;
 * :mod:`repro.engine.scan` — a batched scan pipeline that accepts HDL
   sources (files, directories or in-memory strings), extracts features
-  across a ``multiprocessing`` worker pool, pushes *all* designs through
+  across one process pool per scan, pushes *all* designs through
   the vectorized forward pass and ``searchsorted`` p-values in single
   calls, and caches per-design results keyed by content hash in two
   tiers: the model-fingerprinted result cache (:mod:`repro.engine.cache`)
   and the model-independent feature store
   (:mod:`repro.engine.feature_store`), so recalibrated/reloaded models
   pay only the forward pass on already-seen designs;
-* :mod:`repro.engine.scheduler` — the sharded parallel scan scheduler:
-  shards a corpus across a persistent worker pool (extraction *and*
-  inference), merges deterministically, retries failed shards and makes
-  interrupted scans resumable via the sharded cache;
+* :mod:`repro.engine.scheduler` — the sharded, journaled scan behind
+  ``scan --resume``: streams a corpus's rows from the engine's extraction
+  pool, infers shard by shard in the parent, retries failed shards and
+  makes interrupted scans resumable via periodic cache checkpoints;
 * :mod:`repro.engine.cli` — the ``python -m repro`` command line with
   ``train`` / ``calibrate`` / ``scan`` / ``report`` / ``cache-info`` /
   ``cache-gc`` / ``serve`` subcommands.

@@ -1,11 +1,11 @@
 """One BLAS thread per pool worker.
 
 numpy and scipy ship OpenBLAS, which starts one thread per core.  A
-process pool of ``jobs`` workers would then run ``jobs`` times that many
-BLAS threads (``eigvalsh`` in graph-feature extraction, the GEMMs of
-inference) on the same cores.  Both process pools in :mod:`repro.engine`
-call :func:`limit_blas_threads` when a worker starts, so parallelism
-comes from the workers alone.
+process pool of ``workers`` processes would then run ``workers`` times
+that many BLAS threads (``eigvalsh`` in graph-feature extraction) on the
+same cores.  The extraction pool in :mod:`repro.engine.scan` calls
+:func:`limit_blas_threads` when a worker starts, so parallelism comes
+from the workers alone.
 
 A forked worker inherits an OpenBLAS that read ``OPENBLAS_NUM_THREADS``
 when the parent loaded it, so setting the variable in the worker changes

@@ -119,9 +119,9 @@ def _add_failpoints_option(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="activate fault-injection failpoints in this process, e.g. "
-        "'cache.flush.io=error:OSError;scheduler.worker.body=kill,p=0.5' "
-        "(equivalent to setting REPRO_FAILPOINTS; scheduler worker "
-        "processes inherit the spec through the environment — see "
+        "'cache.flush.io=error:OSError;extract.worker.body=kill,p=0.5' "
+        "(equivalent to setting REPRO_FAILPOINTS; extraction-pool "
+        "workers inherit the spec through the environment — see "
         "docs/ROBUSTNESS.md for the grammar)",
     )
 
@@ -136,8 +136,8 @@ def _apply_failpoints(args: argparse.Namespace) -> bool:
     except FailpointSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
-    # Spawned/forked scheduler workers re-read the environment, so the
-    # spec must live there too, not just in this process's registry.
+    # Extraction-pool workers started by spawn re-read the environment, so
+    # the spec must live there too, not just in this process's registry.
     os.environ[FAILPOINTS_ENV] = spec
     return True
 
@@ -270,7 +270,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print("error: --generate must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     for flag, value in (
-        ("--jobs", args.jobs),
         ("--workers", args.workers),
         ("--shard-size", args.shard_size),
     ):
@@ -279,15 +278,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     if args.confidence is not None and not 0.0 < args.confidence < 1.0:
         print("error: --confidence must be in (0, 1)", file=sys.stderr)
-        return EXIT_USAGE
-    use_scheduler = args.jobs > 1 or args.resume
-    if use_scheduler and args.workers is not None:
-        print(
-            "error: --workers applies only to the single-process engine; "
-            "a --jobs N or --resume scan runs the scheduler, whose "
-            "parallelism is --jobs",
-            file=sys.stderr,
-        )
         return EXIT_USAGE
     cache_dir = None if args.no_cache else args.cache_dir
     feature_dir = _feature_store_dir(args)
@@ -316,28 +306,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                     )
         seconds_collect = time.perf_counter() - t_collect
         span_root.attrs["designs"] = len(sources)
-        if use_scheduler:
-            with ScanScheduler.from_artifact(
-                args.artifact,
-                cache_dir=cache_dir,
-                feature_store_dir=feature_dir,
-                jobs=args.jobs,
-                shard_size=args.shard_size,
-                backend=args.backend,
-            ) as scheduler:
-                report = scheduler.scan_sources(
-                    sources,
-                    confidence=args.confidence,
-                    resume=args.resume,
-                    tracer=tracer,
-                )
-        else:
-            engine = ScanEngine.from_artifact(
-                args.artifact,
-                cache_dir=cache_dir,
-                feature_store_dir=feature_dir,
-                backend=args.backend,
+        engine = ScanEngine.from_artifact(
+            args.artifact,
+            cache_dir=cache_dir,
+            feature_store_dir=feature_dir,
+            backend=args.backend,
+        )
+        if args.resume:
+            report = ScanScheduler(engine, shard_size=args.shard_size).scan_sources(
+                sources,
+                workers=args.workers,
+                confidence=args.confidence,
+                resume=True,
+                tracer=tracer,
             )
+        else:
             report = engine.scan_sources(
                 sources, workers=args.workers, confidence=args.confidence, tracer=tracer
             )
@@ -732,30 +715,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="feature-extraction processes of the single-process engine "
-        "(default: min(4, CPU count)); not valid with --jobs N > 1 or "
-        "--resume, where --jobs sets the parallelism",
-    )
-    scan.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
         metavar="N",
-        help="run the full pipeline (extraction + inference) across N "
-        "scheduler workers (default: 1 = single-process engine)",
+        help="feature-extraction processes (default: min(4, CPU count)); "
+        "batches under 64 KiB of HDL extract in-process",
     )
     scan.add_argument(
         "--shard-size",
         type=int,
         default=DEFAULT_SHARD_SIZE,
         metavar="K",
-        help="designs per scheduler shard (parallelism/retry/flush granularity)",
+        help="designs per --resume shard (inference/retry/journal granularity)",
     )
     scan.add_argument(
         "--resume",
         action="store_true",
-        help="resume an interrupted scan: reuse cached shard results and "
-        "continue the corpus journal (requires the result cache)",
+        help="journaled, resumable scan: checkpoint progress while scanning, "
+        "reuse cached results and continue the corpus journal of an "
+        "interrupted run (requires the result cache)",
     )
     scan.add_argument(
         "--confidence", type=float, default=None, help="conformal confidence level"

@@ -5,9 +5,9 @@ per design.  :class:`ScanEngine` instead restructures the work into three
 batch-friendly stages:
 
 1. **Front-end** — lexing, parsing and feature extraction are per-design
-   and embarrassingly parallel, so uncached designs are fanned out across a
-   ``multiprocessing`` pool (one task per design, chunked by the pool) once
-   they are large enough to repay its start-up.
+   and embarrassingly parallel, so uncached designs are fanned out in
+   chunks across one process pool per call (:func:`iter_feature_rows`)
+   once they are large enough to repay its start-up.
 2. **Inference** — all extracted designs are assembled into one
    :class:`repro.features.MultimodalFeatures` batch and pushed through the
    vectorized CNN forward pass and the ``searchsorted`` conformal p-values
@@ -23,18 +23,32 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import multiprocessing
+import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..core.fusion import ConformalFusionModel
 from ..core.noodle import build_decisions
 from ..core.results import ScanRecord
-from ..faults import SHARD_DEADLINE_S
+from ..faults import SHARD_DEADLINE_S, failpoint
 from ..features.pipeline import MultimodalFeatures, extract_design_modalities
 from ..nn.backend import DEFAULT_BACKEND, PROFILER, get_backend
 from ..obs.metrics import REGISTRY
@@ -56,7 +70,13 @@ _DEGRADED = REGISTRY.counter(
     "Scans that lost a durability/parallelism tier but continued.",
     labels=("tier",),
 )
+_WORKER_DEATHS = REGISTRY.counter(
+    "repro_engine_worker_deaths_total",
+    "Extraction pools lost to a dead, stuck or failing worker.",
+)
 
+#: One extracted design: its ``(tabular, graph)`` feature rows.
+FeatureRow = Tuple[np.ndarray, np.ndarray]
 
 #: Pending sources totalling fewer characters than this (bytes, for ASCII
 #: HDL) are extracted serially even when ``workers > 1``.  A per-call pool
@@ -105,6 +125,10 @@ def collect_sources(inputs: Iterable[Union[str, Path]]) -> List[ScanSource]:
     passing both a directory and a file inside it, or reaching the same
     file through a symlink yields one scan source (the first occurrence
     wins, under its originally given path).
+
+    Files are decoded as UTF-8 whatever the locale, with undecodable bytes
+    replaced by U+FFFD: a Latin-1 comment still scans, and a replaced byte
+    in code becomes that design's lexer-error record, not a failed scan.
     """
     files: List[Path] = []
     seen: set = set()
@@ -130,7 +154,11 @@ def collect_sources(inputs: Iterable[Union[str, Path]]) -> List[ScanSource]:
             seen.add(resolved)
             files.append(candidate)
     return [
-        ScanSource(name=path.stem, source=path.read_text(), path=str(path))
+        ScanSource(
+            name=path.stem,
+            source=path.read_text(encoding="utf-8", errors="replace"),
+            path=str(path),
+        )
         for path in files
     ]
 
@@ -141,14 +169,14 @@ def sources_from_pairs(pairs: Iterable[Tuple[str, str]]) -> List[ScanSource]:
 
 
 # ---------------------------------------------------------------------------
-# Parallel front-end (module-level worker so it pickles under spawn too)
+# Parallel front-end (module-level workers so they pickle under spawn too)
 # ---------------------------------------------------------------------------
 
 
 def _extract_worker(
     task: Tuple[int, str],
-) -> Tuple[int, Optional[Tuple[np.ndarray, np.ndarray]], Optional[str]]:
-    """Pool worker: ``(index, source)`` -> features or error text."""
+) -> Tuple[int, Optional[FeatureRow], Optional[str]]:
+    """Extract one ``(index, source)`` task -> features or error text."""
     index, source = task
     try:
         return index, extract_design_modalities(source), None
@@ -158,89 +186,209 @@ def _extract_worker(
 
 def _extract_chunk(
     tasks: List[Tuple[int, str]],
-) -> List[Tuple[int, Optional[Tuple[np.ndarray, np.ndarray]], Optional[str]]]:
-    """Pool worker: :func:`_extract_worker` over a chunk of tasks, in order."""
+) -> List[Tuple[int, Optional[FeatureRow], Optional[str]]]:
+    """Pool worker: :func:`_extract_worker` over a chunk of tasks, in order.
+
+    Only pool workers run this; the parent's serial path calls
+    :func:`_extract_worker` directly, so an ``extract.worker.body=kill``
+    failpoint ends a worker, never the scan.
+    """
+    failpoint("extract.worker.body")
     return [_extract_worker(task) for task in tasks]
 
 
-def extract_feature_rows(
+def _kill_pool(pool: Any) -> None:
+    """Shut an executor down without waiting for its busy or stuck workers."""
+    # ProcessPoolExecutor gains a public kill_workers() only in Python 3.14.
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _note_pool_failure(
+    exc: BaseException, n_serial: int, lost: bool, report: Optional[ScanReport]
+) -> None:
+    """Log and count one extraction-pool fallback to the serial path.
+
+    ``lost`` marks a pool whose workers had started, so one of them died,
+    stalled or failed; it also counts as a worker death.
+    """
+    note_degraded("pool")
+    if lost:
+        _WORKER_DEATHS.inc()
+        if report is not None:
+            report.n_worker_deaths += 1
+    logger.warning(
+        "extraction pool failed (%s: %s); extracting %d designs serially",
+        type(exc).__name__,
+        str(exc) or f"no chunk within {SHARD_DEADLINE_S:g} s",
+        n_serial,
+    )
+
+
+def _await_chunk(future: Any, on_wait: Optional[Callable[[], float]]) -> Any:
+    """One pool chunk's results, waited for at most :data:`SHARD_DEADLINE_S`.
+
+    While the chunk is out, ``on_wait`` is called, and called again after
+    each pause (in seconds) it returns.
+    """
+    import concurrent.futures
+
+    deadline = time.monotonic() + SHARD_DEADLINE_S
+    while on_wait is not None and not future.done():
+        pause = on_wait()
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            break
+        concurrent.futures.wait([future], timeout=min(pause, remaining))
+    return future.result(timeout=max(deadline - time.monotonic(), 0.0))
+
+
+def iter_feature_rows(
     sources: Sequence[ScanSource],
     workers: Optional[int] = None,
     store: Optional[FeatureStore] = None,
-) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], Dict[int, str]]:
-    """Extract ``(tabular, graph)`` rows for every source.
+    report: Optional[ScanReport] = None,
+    on_wait: Optional[Callable[[], float]] = None,
+) -> Iterator[Tuple[int, Optional[FeatureRow], Optional[str]]]:
+    """Yield ``(index, row, error)`` for every source, in input order.
 
-    Returns ``(rows, errors)`` keyed by source index.  ``workers`` defaults
-    to ``min(4, cpu_count)``; pass ``1`` for the serial path, which is also
-    taken for fewer than two pending sources or fewer than
-    :data:`POOL_MIN_SOURCE_BYTES` of pending source.  Pool workers run with
-    one BLAS thread each (:func:`repro.engine.blas.limit_blas_threads`), so
-    ``workers`` is the whole parallelism.  Each pooled chunk is awaited for
-    at most :data:`repro.faults.policy.SHARD_DEADLINE_S`, so a worker that
-    dies mid-task (say, OOM-killed on a huge design) cannot hang the call.
-    A pool that fails to start or misses that deadline is terminated and
-    the designs it has not returned are extracted serially, so a restricted
-    environment degrades gracefully rather than crashing; the fallback is
-    logged and counted as ``repro_engine_degraded_total{tier="pool"}``.
+    Exactly one of ``row`` (the ``(tabular, graph)`` pair) and ``error``
+    is set.  With a :class:`repro.engine.feature_store.FeatureStore`
+    attached, the store is consulted first — features are a pure function
+    of source content, so a stored row is served without touching the HDL
+    front-end — and every freshly extracted row is recorded in it (the
+    caller flushes).  Store reads and writes happen in this process.
 
-    With a :class:`repro.engine.feature_store.FeatureStore` attached, the
-    store is consulted first — features are a pure function of source
-    content, so a stored row is served without touching the HDL front-end
-    — and every freshly extracted row is recorded in it (the caller
-    flushes).  The store's ``n_hits`` / ``n_misses`` counters account for
-    the lookups.
+    ``workers`` defaults to ``min(4, cpu_count)``; pass ``1`` for the
+    serial path, which is also taken for fewer than two pending sources or
+    fewer than :data:`POOL_MIN_SOURCE_BYTES` of pending source.  Otherwise
+    the pending sources are cut into ``4 * processes`` chunks and sent to
+    one ``ProcessPoolExecutor``, made for this call, whose workers run
+    with one BLAS thread each (:func:`repro.engine.blas.limit_blas_threads`)
+    so ``workers`` is the whole parallelism.  Rows stream out as their
+    chunk arrives, so a consumer works on early rows while later chunks
+    are still extracting.  While the stream waits for a chunk that is not
+    back yet it calls ``on_wait``, if given, and calls it again after each
+    pause (in seconds) it returns, so a consumer can keep a time cadence
+    through a long wait.  Serially extracted rows stream out one design
+    at a time.
+
+    A worker that dies breaks the pool at once; one that is alive but
+    stuck is caught when its chunk misses
+    :data:`repro.faults.policy.SHARD_DEADLINE_S`.  Either way, and when
+    the pool cannot start, the pool is shut down, its workers killed, and
+    the designs it has not returned are extracted serially here; the
+    fallback is logged and counted as
+    ``repro_engine_degraded_total{tier="pool"}``, and a pool lost after it
+    started also as ``repro_engine_worker_deaths_total`` and on
+    ``report.n_worker_deaths``.  A consumer that stops early (``close()``,
+    or an exception that drops the generator) cancels the pending chunks
+    and kills the workers, so no pool process outlives the stream.
     """
+    hits: Deque[Tuple[int, FeatureRow, None]] = deque()
     tasks: List[Tuple[int, str]] = []
-    rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for i, src in enumerate(sources):
         hit = store.get(src.sha256) if store is not None else None
         if hit is not None:
-            rows[i] = hit
+            hits.append((i, hit, None))
         else:
             tasks.append((i, src.source))
     if workers is None:
-        workers = min(4, multiprocessing.cpu_count() or 1)
-    results: List[Tuple[int, Optional[Tuple], Optional[str]]] = []
+        workers = min(4, os.cpu_count() or 1)
+    chunks = [tasks]
+    pool: Any = None
+    futures: List[Any] = []
     if (
         workers > 1
         and len(tasks) > 1
         and sum(len(task[1]) for task in tasks) >= POOL_MIN_SOURCE_BYTES
     ):
         processes = min(workers, len(tasks))
-        # ``pool.map``'s chunk size, but chunks are sent as tasks of their own:
-        # ``imap`` with a chunk size above 1 returns a generator whose waits
-        # cannot be bounded.
+        # ``pool.map``'s chunk size, one future per chunk so every wait is bounded.
         size = -(-len(tasks) // (4 * processes))
         chunks = [tasks[start : start + size] for start in range(0, len(tasks), size)]
         try:
-            with multiprocessing.Pool(
-                processes=processes, initializer=limit_blas_threads
-            ) as pool:
-                pending = pool.imap(_extract_chunk, chunks)
-                for _ in chunks:
-                    results.extend(pending.next(timeout=SHARD_DEADLINE_S))
-        except (OSError, RuntimeError, multiprocessing.TimeoutError) as exc:
-            note_degraded("pool")
-            logger.warning(
-                "extraction pool failed (%s: %s); extracting %d designs serially",
-                type(exc).__name__,
-                exc,
-                len(tasks) - len(results),
+            import concurrent.futures
+
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=processes, initializer=limit_blas_threads
             )
-    results.extend(_extract_worker(task) for task in tasks[len(results):])
+            for chunk in chunks:
+                futures.append(pool.submit(_extract_chunk, chunk))
+        except (OSError, RuntimeError) as exc:
+            # The first submit starts the workers; a later one fails with
+            # BrokenProcessPool (a RuntimeError) when one of them has died.
+            _note_pool_failure(exc, len(tasks), bool(futures), report)
+            if pool is not None:
+                _kill_pool(pool)
+                pool = None
+    try:
+        for n, chunk in enumerate(chunks):
+            results = None
+            if pool is not None:
+                try:
+                    results = _await_chunk(futures[n], on_wait)
+                except Exception as exc:  # dead, stuck or failing pool: go serial
+                    _note_pool_failure(exc, sum(len(c) for c in chunks[n:]), True, report)
+                    _kill_pool(pool)
+                    pool = None
+            if results is None:
+                results = map(_extract_worker, chunk)  # lazily, one design per row
+            elif n == len(chunks) - 1:  # every chunk is back: the workers may exit
+                pool.shutdown()
+                pool = None
+            for index, row, error in results:
+                while hits and hits[0][0] < index:
+                    yield hits.popleft()
+                if row is not None and store is not None:
+                    store.put(sources[index].sha256, row)
+                yield index, row, error
+        while hits:
+            yield hits.popleft()
+    finally:
+        if pool is not None:  # the consumer stopped early
+            _kill_pool(pool)
+
+
+def collect_rows(
+    items: Iterable[Tuple[int, Optional[FeatureRow], Optional[str]]],
+) -> Tuple[Dict[int, FeatureRow], Dict[int, str]]:
+    """Split streamed ``(index, row, error)`` items into ``(rows, errors)``.
+
+    Both dicts are keyed by position in ``items``, so a whole stream is
+    keyed by source index and a slice of it by position in the slice.
+    """
+    rows: Dict[int, FeatureRow] = {}
     errors: Dict[int, str] = {}
-    for index, row, error in results:
+    for position, (_, row, error) in enumerate(items):
         if error is not None:
-            errors[index] = error
+            errors[position] = error
         else:
-            rows[index] = row
-            if store is not None:
-                store.put(sources[index].sha256, row)
+            rows[position] = row
     return rows, errors
 
 
+def extract_feature_rows(
+    sources: Sequence[ScanSource],
+    workers: Optional[int] = None,
+    store: Optional[FeatureStore] = None,
+    report: Optional[ScanReport] = None,
+) -> Tuple[Dict[int, FeatureRow], Dict[int, str]]:
+    """Extract ``(tabular, graph)`` rows for every source.
+
+    Returns ``(rows, errors)`` keyed by source index: the whole of
+    :func:`iter_feature_rows`, collected.  Workers, feature-store use,
+    the pool's safeguards and the ``report`` it counts lost pools on are
+    as documented there.
+    """
+    return collect_rows(
+        iter_feature_rows(sources, workers=workers, store=store, report=report)
+    )
+
+
 def assemble_features(
-    rows: Sequence[Tuple[np.ndarray, np.ndarray]],
+    rows: Sequence[FeatureRow],
     names: Sequence[str],
 ) -> MultimodalFeatures:
     """Assemble per-design feature rows into one batched feature container.
@@ -348,9 +496,10 @@ class ScanReport:
     seconds_inference: float = 0.0
     seconds_total: float = 0.0
     confidence_level: float = 0.9
-    #: Shards requeued by the parallel scheduler after a recoverable error.
+    #: Shard steps the scheduler retried after a recoverable error.
     n_shard_retries: int = 0
-    #: Shards whose pool worker died or timed out (each also retried).
+    #: Extraction pools lost to a dead or stuck worker (the parent then
+    #: extracted the rest serially).
     n_worker_deaths: int = 0
     #: Shards that exhausted their retry budget and were failed outright.
     n_shard_failures: int = 0
@@ -419,13 +568,10 @@ class ScanReport:
         stages do not account for (record bookkeeping, report assembly).
         ``collect`` runs in the CLI before the engine's clock starts, so
         the total here is ``seconds_total`` plus the collect stage.
-        Stages keyed with a ``_cpu`` suffix (the parallel scheduler's
-        summed per-worker times) are CPU seconds, not slices of the wall
-        clock, and are listed without a percentage.  Non-default compute
-        backends additionally break the ``infer`` stage down into its
-        ``infer/<sub-stage>`` components (prep / gemm / activation),
-        indented under the infer line; sub-stages are part of
-        the infer time, so they do not count toward the total again.
+        Non-default compute backends additionally break the ``infer``
+        stage down into its ``infer/<sub-stage>`` components (prep / gemm
+        / activation), indented under the infer line; sub-stages are part
+        of the infer time, so they do not count toward the total again.
         """
         grand_total = self.seconds_total + self.stage_seconds.get("collect", 0.0)
         total = max(grand_total, 1e-12)
@@ -446,11 +592,6 @@ class ScanReport:
         other = max(grand_total - accounted, 0.0)
         lines.append(f"  {'(other)':<12} {other:9.4f}s  {other / total:6.1%}")
         lines.append(f"  {'total':<12} {grand_total:9.4f}s")
-        for stage, seconds in sorted(self.stage_seconds.items()):
-            if stage.endswith("_cpu"):
-                lines.append(
-                    f"  {stage:<12} {seconds:9.4f}s  (CPU, summed across workers)"
-                )
         return lines
 
     def to_dict(self) -> Dict[str, Any]:
@@ -542,9 +683,6 @@ class ScanEngine:
         self.cache = cache
         self.feature_store = feature_store
         self.backend = backend
-        #: Default tracer used when :meth:`scan_sources` is not handed one
-        #: explicitly (the scheduler's serial path and pool workers set it).
-        self.tracer: Optional[Tracer] = None
         if hasattr(model, "set_backend"):
             model.set_backend(backend)
         elif backend != DEFAULT_BACKEND:
@@ -607,8 +745,6 @@ class ScanEngine:
         cache stages) as children of the caller's current span.
         """
         t_start = time.perf_counter()
-        if tracer is None:
-            tracer = self.tracer
         level = confidence if confidence is not None else self.model.config.confidence_level
         report = ScanReport(
             n_designs=len(sources), confidence_level=level, backend=self.backend
@@ -623,10 +759,11 @@ class ScanEngine:
         # 2. feature store + parallel front-end for the result-cache misses
         store = self.feature_store
         hits_before = store.n_hits if store is not None else 0
+        pending_sources = [sources[i] for i in pending]
         with trace_span(tracer, "scan/extract", designs=len(pending)) as sp_extract:
             rows, errors = (
                 extract_feature_rows(
-                    [sources[i] for i in pending], workers=workers, store=store
+                    pending_sources, workers=workers, store=store, report=report
                 )
                 if pending
                 else ({}, {})
@@ -635,24 +772,57 @@ class ScanEngine:
         report.seconds_extract = sp_extract.duration_s
         report.stage_seconds["extract"] = report.seconds_extract
 
-        for local_index, message in errors.items():
-            i = pending[local_index]
-            src = sources[i]
-            records[i] = ScanRecord(
+        # 3. one batched forward pass + searchsorted p-values for the rest
+        fresh = self.infer_records(pending_sources, rows, errors, level, report, tracer)
+        for i, record in zip(pending, fresh):
+            records[i] = record
+        report.n_errors = len(errors)
+
+        # 4. persist fresh results (both tiers)
+        with trace_span(tracer, "scan/cache_flush") as sp_flush:
+            report.records = [r for r in records if r is not None]
+            if self.cache is not None:
+                self.cache.put_many(fresh)
+            if flush_cache:
+                self.flush()
+        report.stage_seconds["cache_flush"] = sp_flush.duration_s
+        report.seconds_total = time.perf_counter() - t_start
+        return report
+
+    def infer_records(
+        self,
+        sources: Sequence[ScanSource],
+        rows: Mapping[int, FeatureRow],
+        errors: Mapping[int, str],
+        level: float,
+        report: ScanReport,
+        tracer: Optional[Tracer] = None,
+    ) -> List[ScanRecord]:
+        """Turn freshly extracted designs into records, in input order.
+
+        ``rows`` and ``errors`` are keyed by position in ``sources``, as
+        :func:`extract_feature_rows` returns them, and every source is in
+        exactly one.  An error becomes an error record; the rows are
+        assembled into one batch for a single forward pass and p-value
+        call, then triaged at confidence ``level``.  The ``infer`` and
+        ``p_value`` stage times (and a non-default backend's
+        ``infer/<sub-stage>`` times) accumulate on ``report``, so the
+        scheduler can call this once per shard.  Nothing is cached or
+        counted here.
+        """
+        records: List[Optional[ScanRecord]] = [None] * len(sources)
+        for j, message in errors.items():
+            src = sources[j]
+            records[j] = ScanRecord(
                 name=src.name, sha256=src.sha256, source_path=src.path, error=message
             )
-            report.n_errors += 1
-
-        # 3. one batched forward pass + searchsorted p-values for the rest
-        scanned = [i for local, i in enumerate(pending) if local in rows]
+        scanned = [j for j in range(len(sources)) if j in rows]
+        stages = report.stage_seconds
         with trace_span(tracer, "scan/infer", designs=len(scanned)) as sp_infer:
             if scanned:
-                ordered_rows = [
-                    rows[local] for local, i in enumerate(pending) if local in rows
-                ]
                 with trace_span(tracer, "scan/featurize", designs=len(scanned)):
                     batch = assemble_features(
-                        ordered_rows, [sources[i].name for i in scanned]
+                        [rows[j] for j in scanned], [sources[j].name for j in scanned]
                     )
                 profiled = self.backend != DEFAULT_BACKEND
                 if profiled:
@@ -661,58 +831,49 @@ class ScanEngine:
                 if profiled:
                     for sub_stage, sub_seconds in PROFILER.snapshot().items():
                         key = f"infer/{sub_stage}"
-                        report.stage_seconds[key] = (
-                            report.stage_seconds.get(key, 0.0) + sub_seconds
-                        )
+                        stages[key] = stages.get(key, 0.0) + sub_seconds
         with trace_span(tracer, "scan/fuse", designs=len(scanned)) as sp_fuse:
             if scanned:
                 decisions = build_decisions(batch.names, p_values, level)
-                for i, decision in zip(scanned, decisions):
-                    src = sources[i]
-                    records[i] = ScanRecord(
+                for j, decision in zip(scanned, decisions):
+                    src = sources[j]
+                    records[j] = ScanRecord(
                         name=src.name,
                         sha256=src.sha256,
                         decision=decision,
                         source_path=src.path,
                     )
-        report.seconds_inference = sp_infer.duration_s + sp_fuse.duration_s
-        report.stage_seconds["infer"] = sp_infer.duration_s
-        report.stage_seconds["p_value"] = sp_fuse.duration_s
+        report.seconds_inference += sp_infer.duration_s + sp_fuse.duration_s
+        stages["infer"] = stages.get("infer", 0.0) + sp_infer.duration_s
+        stages["p_value"] = stages.get("p_value", 0.0) + sp_fuse.duration_s
+        return records  # type: ignore[return-value]  # every slot is filled
 
-        # 4. persist fresh results (both tiers).  Tier flushes degrade, never
-        # fail the scan: the verdicts are already computed and in memory, so
-        # a full disk or contended lock costs durability, not correctness.
-        with trace_span(tracer, "scan/cache_flush") as sp_flush:
-            report.records = [r for r in records if r is not None]
-            if self.cache is not None:
-                for record in report.records:
-                    if not record.cached:
-                        self.cache.put(record)
-                if flush_cache:
-                    try:
-                        self.cache.flush()
-                    except (OSError, CacheLockTimeout) as exc:
-                        note_degraded("cache")
-                        logger.warning(
-                            "result-cache flush failed (%s: %s); scan continues "
-                            "without result durability",
-                            type(exc).__name__,
-                            exc,
-                        )
-            if store is not None and flush_cache:
-                try:
-                    store.flush()
-                except (OSError, CacheLockTimeout) as exc:
-                    note_degraded("features")
-                    logger.warning(
-                        "feature-store flush failed (%s: %s); scan continues "
-                        "without feature durability",
-                        type(exc).__name__,
-                        exc,
-                    )
-        report.stage_seconds["cache_flush"] = sp_flush.duration_s
-        report.seconds_total = time.perf_counter() - t_start
-        return report
+    def flush(self) -> None:
+        """Write both cache tiers to disk; a failing tier degrades the scan.
+
+        The verdicts are already computed and in memory, so a full disk or
+        a contended lock costs durability, not correctness: the failure is
+        logged and counted as ``repro_engine_degraded_total{tier=...}``
+        (``cache`` or ``features``), and the unflushed entries stay dirty
+        for the next flush to retry.
+        """
+        for tier, label, name, kind in (
+            (self.cache, "cache", "result-cache", "result"),
+            (self.feature_store, "features", "feature-store", "feature"),
+        ):
+            if tier is None:
+                continue
+            try:
+                tier.flush()
+            except (OSError, CacheLockTimeout) as exc:
+                note_degraded(label)
+                logger.warning(
+                    "%s flush failed (%s: %s); scan continues without %s durability",
+                    name,
+                    type(exc).__name__,
+                    exc,
+                    kind,
+                )
 
     def scan_paths(
         self,

@@ -34,7 +34,7 @@ probability per hit (seeded per failpoint name, so runs are
 reproducible); ``n`` caps how many times the action fires in this
 process.  Example::
 
-    REPRO_FAILPOINTS="cache.flush.io=error:OSError,n=2;scheduler.worker.body=kill,p=0.5"
+    REPRO_FAILPOINTS="cache.flush.io=error:OSError,n=2;extract.worker.body=kill,p=0.5"
 
 Every failpoint name must be a string literal registered at exactly one
 call site — lint rule R8 enforces the same discipline R7 applies to

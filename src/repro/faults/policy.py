@@ -1,8 +1,8 @@
 """Unified retry, backoff and deadline policy for the engine and serve layers.
 
 Before this module each subsystem hard-coded its own failure constants —
-``DEFAULT_MAX_RETRIES``/``DEFAULT_SHARD_TIMEOUT`` in the scheduler, the
-namespace-lock timeout and poll interval in the cache, the hot-reload
+the scheduler's shard retry budget, the extraction pool's chunk deadline,
+the namespace-lock timeout and poll interval in the cache, the hot-reload
 probe TTL in the serve registry.  They now all read from here, so one
 table (mirrored in ``docs/ROBUSTNESS.md``) answers "how many times, how
 long, how fast do we back off" for the whole system:
@@ -10,8 +10,8 @@ long, how fast do we back off" for the whole system:
 =======================  ===========================================
 Policy                   Meaning
 =======================  ===========================================
-:data:`SHARD_RETRY_POLICY`      scheduler shard requeue budget
-:data:`SHARD_DEADLINE_S`        per-shard wall-clock deadline
+:data:`SHARD_RETRY_POLICY`      scheduler shard retry budget
+:data:`SHARD_DEADLINE_S`        extraction-pool chunk deadline
 :data:`LOCK_RETRY_POLICY`       cache-lock poll backoff (jittered)
 :data:`LOCK_ACQUIRE_DEADLINE_S` cache-lock acquisition deadline
 :data:`LOCK_STALE_AFTER_S`      cache-lock staleness horizon
@@ -41,7 +41,7 @@ class RetryPolicy:
     Backoff for retry ``attempt`` (1-based) is
     ``base_delay_s * multiplier**(attempt-1)`` capped at ``max_delay_s``,
     scaled by a uniform factor in ``[1-jitter, 1+jitter]``.  A zero
-    ``base_delay_s`` (the scheduler's immediate-requeue policy) always
+    ``base_delay_s`` (the scheduler's immediate-retry policy) always
     yields zero backoff.
     """
 
@@ -120,13 +120,14 @@ class Deadline:
 
 # -- engine policies ---------------------------------------------------------
 
-#: Shard execution: a failed or timed-out shard is requeued immediately
-#: (no backoff — a fresh worker picks it up) at most twice, i.e. three
-#: attempts, before it is marked failed.
+#: Shard execution: a shard whose inference raises is retried immediately
+#: (no backoff) at most twice, i.e. three attempts, before its designs get
+#: error records.
 SHARD_RETRY_POLICY = RetryPolicy(max_retries=2)
 
-#: Per-shard wall-clock deadline.  A shard whose worker does not answer
-#: within this is treated as a worker death and requeued.
+#: Extraction-pool chunk deadline.  A dead worker breaks the pool at once;
+#: this catches one that is alive but stuck.  A chunk not returned within
+#: it costs the pool, and the parent extracts the rest serially.
 SHARD_DEADLINE_S = 600.0
 
 #: Cache namespace-lock acquisition deadline: contention beyond this

@@ -3,17 +3,16 @@
 A :class:`Tracer` collects :class:`Span` records for one logical trace —
 a CLI scan, or the lifetime of a serve process.  Instrumented code does
 not talk to a process global; the tracer is threaded explicitly through
-the call path (``ScanEngine.scan_sources(..., tracer=...)``) so that
-multiprocessing workers can run their own private tracer and ship the
-finished spans back to the parent as plain dicts (:meth:`Tracer.export`
-/ :meth:`Tracer.adopt`).
+the call path (``ScanEngine.scan_sources(..., tracer=...)``).  Every span
+is recorded in the process that owns the tracer: extraction-pool workers
+are not traced, and their time shows as the parent's ``scan/extract``.
 
 :func:`trace_span` is the single timing primitive for the whole codebase
 (``perf.timing`` and the ``scan --profile`` stage dicts are built on it):
 it always measures a monotonic ``duration_s``, and records a span only
 when a tracer is supplied.  Nesting is tracked per-thread, so stage spans
 opened inside a worker thread parent correctly without explicit wiring;
-cross-thread and cross-process edges pass ``parent_id`` explicitly.
+cross-thread edges pass ``parent_id`` explicitly.
 
 The JSONL export writes one span per line::
 
@@ -31,7 +30,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = ["Span", "Tracer", "trace_span"]
 
@@ -86,21 +85,17 @@ class Span:
 class Tracer:
     """Collects finished spans for one trace; thread-safe.
 
-    ``id_prefix`` namespaces the generated span ids — scheduler workers
-    use their shard id as prefix so ids stay unique when spans from many
-    processes are merged into one trace file.  ``jsonl_path`` optionally
-    names a file that :meth:`flush` appends drained spans to (the serve
-    layer flushes from its batch worker threads and at shutdown).
+    ``jsonl_path`` optionally names a file that :meth:`flush` appends
+    drained spans to (the serve layer flushes from its batch worker
+    threads and at shutdown).
     """
 
     def __init__(
         self,
         trace_id: str = "trace",
-        id_prefix: str = "",
         jsonl_path: Optional[Union[str, Path]] = None,
     ) -> None:
         self.trace_id = trace_id
-        self.id_prefix = id_prefix
         self.jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
@@ -110,8 +105,8 @@ class Tracer:
 
     # -- span lifecycle ------------------------------------------------------
     def _next_id(self) -> str:
-        """Allocate the next span id (prefix + per-tracer sequence)."""
-        return f"{self.id_prefix}{next(self._counter):04d}"
+        """Allocate the next span id (a per-tracer sequence)."""
+        return f"{next(self._counter):04d}"
 
     def _stack(self) -> List[Span]:
         """This thread's stack of open spans (for implicit parenting)."""
@@ -160,7 +155,7 @@ class Tracer:
             self._finished.append(span)
         return span
 
-    # -- export / merge ------------------------------------------------------
+    # -- export --------------------------------------------------------------
     def export(self, drain: bool = False) -> List[Dict[str, Any]]:
         """Finished spans as dicts; ``drain=True`` also clears the buffer."""
         with self._lock:
@@ -168,27 +163,6 @@ class Tracer:
             if drain:
                 self._finished.clear()
         return spans
-
-    def adopt(self, span_dicts: Iterable[Dict[str, Any]]) -> None:
-        """Merge spans exported by another tracer (e.g. a worker process).
-
-        Adopted spans keep their own ids but are re-homed onto this
-        tracer's ``trace_id`` so the merged file is one coherent trace.
-        """
-        adopted: List[Span] = []
-        for entry in span_dicts:
-            span = Span(
-                str(entry.get("name", "")),
-                trace_id=self.trace_id,
-                span_id=str(entry.get("span_id", "")),
-                parent_id=entry.get("parent_id"),
-                attrs=dict(entry.get("attrs") or {}),
-            )
-            span.start_unix_s = float(entry.get("start_unix_s", 0.0))
-            span.duration_s = float(entry.get("duration_s", 0.0))
-            adopted.append(span)
-        with self._lock:
-            self._finished.extend(adopted)
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
         """Write every finished span to ``path`` (one JSON dict per line)."""

@@ -7,6 +7,7 @@ extracted features" share one copy instead of regenerating them.
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 
 import numpy as np
@@ -23,20 +24,30 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def pool_constructions(monkeypatch) -> list:
-    """Record every ``multiprocessing.Pool`` constructed during the test.
+    """Record every process pool constructed during the test.
 
-    The wrapper delegates to the real ``Pool``, so code under test behaves
-    as usual; the returned list gains one ``(args, kwargs)`` entry per
-    construction.
+    ``repro`` makes its one kind of pool, the extraction pool, with
+    ``concurrent.futures.ProcessPoolExecutor``; ``multiprocessing.Pool`` is
+    counted too, so a reintroduced second pool cannot slip past a "no
+    pool" assertion.  The wrappers delegate to the real classes, so code
+    under test behaves as usual; the returned list gains one
+    ``(args, kwargs)`` entry per construction.
     """
-    real_pool = multiprocessing.Pool
     constructed: list = []
 
-    def counting_pool(*args, **kwargs):
-        constructed.append((args, kwargs))
-        return real_pool(*args, **kwargs)
+    def counting(real):
+        def construct(*args, **kwargs):
+            constructed.append((args, kwargs))
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        return construct
+
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        counting(concurrent.futures.ProcessPoolExecutor),
+    )
+    monkeypatch.setattr(multiprocessing, "Pool", counting(multiprocessing.Pool))
     return constructed
 
 

@@ -1,6 +1,6 @@
 """Chaos suite: injected faults must degrade the system, never corrupt it.
 
-Every scenario drives a *public* surface (engine scan, scheduler pool,
+Every scenario drives a *public* surface (engine scan, extraction pool,
 serve HTTP) with failpoints activated underneath, and asserts the two
 robustness invariants from ``docs/ROBUSTNESS.md``:
 
@@ -128,19 +128,33 @@ class TestStorageChaos:
 
 class TestWorkerChaos:
     def test_killed_workers_fall_back_to_serial(
-        self, detector, corpus, serial_records, monkeypatch
+        self, detector, corpus, serial_records, monkeypatch, pool_constructions
     ):
-        """SIGKILL-grade worker loss (os._exit) must not lose the scan."""
-        monkeypatch.setenv(faults.FAILPOINTS_ENV, "scheduler.worker.body=kill")
+        """SIGKILL-grade worker loss (os._exit) must not lose the scan.
+
+        The dead worker breaks the pool at once; the default 600 s chunk
+        deadline never comes into play.  Both scan paths share the pool.
+        """
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # 10 designs, ~21 KB
+        monkeypatch.setenv(faults.FAILPOINTS_ENV, "extract.worker.body=kill")
         faults.configure_from_env()  # fork-started workers inherit this table
         before = _degraded("pool")
-        with ScanScheduler(
-            model=detector, jobs=2, shard_size=5, shard_timeout=3.0
-        ) as scheduler:
-            report = scheduler.scan_sources(corpus)
+        deaths = REGISTRY.value("repro_engine_worker_deaths_total")
+        start = time.monotonic()
+        report = ScanScheduler(ScanEngine(detector), shard_size=5).scan_sources(
+            corpus, workers=2
+        )
         assert _dicts(report.records) == _dicts(serial_records)
-        assert report.n_worker_deaths > 0
-        assert _degraded("pool") > before
+        assert report.n_worker_deaths == 1
+        plain = ScanEngine(detector).scan_sources(corpus, workers=2)
+        assert _dicts(plain.records) == _dicts(serial_records)
+        assert plain.n_worker_deaths == 1
+        assert time.monotonic() - start < 60.0
+        assert len(pool_constructions) == 2  # one per scan_sources call
+        assert _degraded("pool") == before + 2
+        assert REGISTRY.value("repro_engine_worker_deaths_total") == deaths + 2
 
 
 # -- serve chaos -------------------------------------------------------------

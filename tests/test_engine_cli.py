@@ -162,6 +162,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "all 3 designs failed" in err
 
+    def test_scan_directory_with_a_latin1_file(self, artifact, tmp_path, capsys):
+        # One Latin-1 byte in a comment must not fail the whole scan: the
+        # copy scans like its original, and a replaced byte in code is that
+        # design's own error record.
+        inbox = tmp_path / "inbox"
+        inbox.mkdir()
+        batch = build_scan_batch(3, seed=5)
+        for source in batch:
+            (inbox / f"{source.name}.v").write_text(source.source)
+        (inbox / "zz_latin1_comment.v").write_bytes(
+            b"// Autor: Jos\xe9\n" + batch[0].source.encode("utf-8")
+        )
+        (inbox / "zz_latin1_code.v").write_bytes(b"module m (a\xe9); endmodule\n")
+        out = tmp_path / "results.json"
+        code = main(
+            ["scan", str(inbox), "--artifact", str(artifact), "--no-cache",
+             "--output", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+        assert len(records) == 5
+        copy, original = records["zz_latin1_comment"], records[batch[0].name]
+        for key in ("p_value_trojan_free", "p_value_trojan_infected"):
+            assert copy["decision"][key] == original["decision"][key]
+        assert records["zz_latin1_code"]["error"].startswith("LexerError")
+
     def test_scan_missing_artifact_fails_cleanly(self, tmp_path, capsys):
         code = main(
             ["scan", "--artifact", str(tmp_path / "nope"), "--generate", "2", "--no-cache"]
@@ -188,27 +214,47 @@ class TestExitCodes:
         assert code == 2
         assert "--resume" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "scheduler_flags", [["--resume"], ["--jobs", "2"]], ids=["resume", "jobs"]
-    )
-    def test_workers_with_scheduler_is_usage_error(
-        self, artifact, tmp_path, capsys, scheduler_flags
+    def test_jobs_flag_is_rejected(self, artifact, tmp_path, capsys):
+        # One parallelism flag: --workers sets the extraction pool of both
+        # the plain and the --resume scan; --jobs is gone, so argparse
+        # rejects even a value the old flag accepted.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "scan",
+                    "--artifact", str(artifact),
+                    "--generate", "2",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--workers", "2",
+                    "--jobs", "2",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_workers_with_resume_sizes_the_extraction_pool(
+        self, artifact, tmp_path, capsys, monkeypatch, pool_constructions
     ):
-        # The scheduler's parallelism is --jobs; --workers sets only the
-        # single-process engine's extraction pool.
-        code = main(
-            [
-                "scan",
-                "--artifact", str(artifact),
-                "--generate", "2",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--workers", "2",
-                *scheduler_flags,
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--workers" in err and "--jobs" in err
+        # --workers with --resume is no usage error: it sets the resumable
+        # scan's extraction pool, so one worker extracts in-process and two
+        # fork one pool of two.
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # fork for 4 designs
+        for workers in ("1", "2"):
+            code = main(
+                [
+                    "scan",
+                    "--artifact", str(artifact),
+                    "--generate", "4",
+                    "--cache-dir", str(tmp_path / f"cache{workers}"),
+                    "--workers", workers,
+                    "--resume",
+                ]
+            )
+            assert code == 0
+            assert "error:" not in capsys.readouterr().err
+        assert [kwargs["max_workers"] for _, kwargs in pool_constructions] == [2]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -216,28 +262,33 @@ class TestExitCodes:
     )
     def test_parallelism_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
         # A missing artifact shows the check runs before the artifact
-        # loads: without it the scan would fail with exit 1 instead.
-        code = main(
-            [
-                "scan",
-                "--artifact", str(tmp_path / "nope"),
-                "--generate", "2",
-                "--no-cache",
-                flag, value,
-            ]
-        )
+        # loads: without it the scan would fail with exit 1 instead.  The
+        # deleted --jobs flag is a usage error whatever its value.
+        argv = [
+            "scan",
+            "--artifact", str(tmp_path / "nope"),
+            "--generate", "2",
+            "--no-cache",
+            flag, value,
+        ]
+        if flag == "--jobs":
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            code, expected = excinfo.value.code, "unrecognized arguments: --jobs"
+        else:
+            code, expected = main(argv), f"{flag} must be at least 1"
         assert code == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--shard-size", "0"],
             ["--shard-size", "-4"],
-            ["--shard-size", "0", "--jobs", "2"],
+            ["--shard-size", "0", "--workers", "2"],
             ["--shard-size", "0", "--resume"],
         ],
-        ids=["zero", "negative", "jobs", "resume"],
+        ids=["zero", "negative", "workers", "resume"],
     )
     def test_shard_size_below_one_is_usage_error(self, tmp_path, capsys, flags):
         # Checked before the (missing) artifact loads, with or without the
@@ -274,17 +325,31 @@ class TestExitCodes:
 
 
 class TestParallelScanCli:
-    def test_jobs_2_matches_single_process_scan(self, artifact, tmp_path, capsys):
+    def test_workers_2_resume_matches_single_process_scan(
+        self, artifact, tmp_path, capsys, monkeypatch, pool_constructions
+    ):
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # fork for 6 designs
         serial_out = tmp_path / "serial.json"
-        parallel_out = tmp_path / "parallel.json"
-        common = ["scan", "--artifact", str(artifact), "--generate", "6", "--no-cache"]
-        assert main(common + ["--output", str(serial_out)]) == 0
+        resumable_out = tmp_path / "resumable.json"
+        common = ["scan", "--artifact", str(artifact), "--generate", "6"]
+        assert main(common + ["--no-cache", "--workers", "1", "--output", str(serial_out)]) == 0
+        assert pool_constructions == []
         assert main(
-            common + ["--jobs", "2", "--shard-size", "2", "--output", str(parallel_out)]
+            common
+            + [
+                "--cache-dir", str(tmp_path / "cache"),
+                "--workers", "2",
+                "--shard-size", "2",
+                "--resume",
+                "--output", str(resumable_out),
+            ]
         ) == 0
+        assert len(pool_constructions) == 1
         serial = json.loads(serial_out.read_text())
-        parallel = json.loads(parallel_out.read_text())
-        assert parallel["records"] == serial["records"]
+        resumable = json.loads(resumable_out.read_text())
+        assert resumable["records"] == serial["records"]
 
     def test_resume_reuses_cached_shards(self, artifact, tmp_path, capsys):
         args = [
@@ -292,7 +357,7 @@ class TestParallelScanCli:
             "--artifact", str(artifact),
             "--generate", "5",
             "--cache-dir", str(tmp_path / "cache"),
-            "--jobs", "2",
+            "--workers", "2",
             "--shard-size", "2",
         ]
         assert main(args) == 0
@@ -524,17 +589,24 @@ class TestFeatureCacheCli:
         out = capsys.readouterr().out
         assert "0 cache hits" in out and "3 feature hits" in out
 
-    def test_parallel_scan_shares_the_feature_store(self, artifact, tmp_path, capsys):
+    def test_parallel_scan_shares_the_feature_store(
+        self, artifact, tmp_path, capsys, monkeypatch, pool_constructions
+    ):
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # fork for 6 designs
         cache = str(tmp_path / "cache")
         base = [
             "scan",
             "--artifact", str(artifact),
             "--generate", "6",
-            "--jobs", "2",
+            "--workers", "2",
             "--shard-size", "2",
+            "--resume",
             "--cache-dir", cache,
         ]
         assert main(base) == 0
+        assert len(pool_constructions) == 1  # pooled rows land in the parent's store
         capsys.readouterr()
         assert main(
             [
@@ -605,7 +677,7 @@ class TestScanTrace:
                 walk = by_id[walk["parent_id"]]
             assert walk["name"] == "scan"
 
-    def test_trace_merges_scheduler_worker_spans(self, artifact, tmp_path):
+    def test_trace_records_scheduler_shard_spans(self, artifact, tmp_path):
         trace = tmp_path / "trace.jsonl"
         code = main(
             [
@@ -613,8 +685,9 @@ class TestScanTrace:
                 "--artifact", str(artifact),
                 "--generate", "4",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--jobs", "2",
+                "--workers", "2",
                 "--shard-size", "2",
+                "--resume",
                 "--trace", str(trace),
             ]
         )
@@ -624,8 +697,13 @@ class TestScanTrace:
         names = [span["name"] for span in spans]
         assert "scheduler/scan" in names
         assert names.count("scheduler/shard") == 2  # one per shard
-        # The worker-side stage spans were adopted into the merged trace.
-        assert "scan/extract" in names
+        # Each shard's extract wait and inference are recorded in the parent.
+        by_id = {span["span_id"]: span for span in spans}
+        for stage in ("scan/extract", "scan/infer", "scan/fuse"):
+            parents = [
+                by_id[span["parent_id"]]["name"] for span in spans if span["name"] == stage
+            ]
+            assert parents == ["scheduler/shard", "scheduler/shard"]
 
 
 class TestProfileAndCacheInfo:

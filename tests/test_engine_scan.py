@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestPoolFallback:
     def test_lost_pool_is_counted_and_extracts_serially(
         self, scan_batch, monkeypatch, caplog
     ):
-        import multiprocessing
+        import concurrent.futures
 
         from repro.engine import scan
         from repro.engine.scan import extract_feature_rows
@@ -83,20 +84,67 @@ class TestPoolFallback:
 
         serial, _ = extract_feature_rows(scan_batch, workers=1)
         before = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+        deaths = REGISTRY.value("repro_engine_worker_deaths_total")
         monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         rows, errors = extract_feature_rows(scan_batch, workers=2)
         assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == before + 1
+        # A pool that never started lost no worker.
+        assert REGISTRY.value("repro_engine_worker_deaths_total") == deaths
         assert "extraction pool failed" in caplog.text
         assert not errors and sorted(rows) == sorted(serial)
         for index, row in serial.items():
             for expected, got in zip(row, rows[index]):
                 assert np.array_equal(got, expected)
 
+    def test_pool_broken_during_submission_counts_a_worker_death(
+        self, scan_batch, monkeypatch
+    ):
+        # A worker can die while the parent is still submitting chunks; the
+        # next submit then raises BrokenProcessPool.  That pool had started,
+        # so the loss is a worker death, as it is when a result reports it.
+        import concurrent.futures
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import scan
+        from repro.obs.metrics import REGISTRY
+
+        class BreaksOnSecondSubmit(concurrent.futures.ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died during submission")
+                return super().submit(*args, **kwargs)
+
+        serial, _ = scan.extract_feature_rows(scan_batch, workers=1)
+        degraded = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+        deaths = REGISTRY.value("repro_engine_worker_deaths_total")
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        report = ScanReport(n_designs=len(scan_batch))
+        streamed = list(scan.iter_feature_rows(scan_batch, workers=2, report=report))
+        assert [index for index, _, _ in streamed] == list(range(len(scan_batch)))
+        for index, row, error in streamed:
+            assert error is None
+            for expected, got in zip(serial[index], row):
+                assert got.tobytes() == expected.tobytes()
+        assert report.n_worker_deaths == 1
+        assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == degraded + 1
+        assert REGISTRY.value("repro_engine_worker_deaths_total") == deaths + 1
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_dead_worker_is_counted_and_extracts_serially(self):
-        # A pool worker that exits mid-task never returns its result; the
-        # call must give up on the pool after the deadline, not hang.  Run
-        # in a subprocess so a hang fails this test instead of the suite.
+        # A pool worker that exits mid-task breaks the pool at once: the
+        # call falls back to the parent long before the default 600 s
+        # chunk deadline.  40 designs (~91 KB) pass the pool threshold
+        # as-is.  Run in a subprocess so a hang fails this test instead of
+        # the suite.
         script = textwrap.dedent(
             """
             import os
@@ -111,19 +159,21 @@ class TestPoolFallback:
                     os._exit(137)
                 return extract(task)
 
-            batch = build_scan_batch(4)
+            batch = build_scan_batch(40)
+            assert sum(len(s.source) for s in batch) >= scan.POOL_MIN_SOURCE_BYTES
+            assert scan.SHARD_DEADLINE_S == 600.0
             serial, _ = scan.extract_feature_rows(batch, workers=1)
             scan._extract_worker = dying_worker
-            scan.SHARD_DEADLINE_S = 2.0
-            scan.POOL_MIN_SOURCE_BYTES = 0
-            before = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+            degraded = REGISTRY.value("repro_engine_degraded_total", tier="pool")
+            deaths = REGISTRY.value("repro_engine_worker_deaths_total")
             rows, errors = scan.extract_feature_rows(batch, workers=2)
             assert not errors and sorted(rows) == sorted(serial)
             for index, row in serial.items():
                 for expected, got in zip(row, rows[index]):
                     assert got.shape == expected.shape
                     assert got.tobytes() == expected.tobytes()
-            assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == before + 1
+            assert REGISTRY.value("repro_engine_degraded_total", tier="pool") == degraded + 1
+            assert REGISTRY.value("repro_engine_worker_deaths_total") == deaths + 1
             print("recovered")
             """
         )
@@ -134,21 +184,110 @@ class TestPoolFallback:
         )
         assert done.returncode == 0, done.stderr
         assert "recovered" in done.stdout
-        assert "extraction pool failed" in done.stderr
+        assert "extraction pool failed (BrokenProcessPool" in done.stderr
 
 
 class TestSmallScansSkipThePool:
-    def test_small_batch_extracts_serially(self, scan_batch, pool_constructions):
-        from repro.engine.scan import POOL_MIN_SOURCE_BYTES, extract_feature_rows
+    def test_small_batch_extracts_serially(
+        self, scan_batch, pool_constructions, monkeypatch
+    ):
+        from repro.engine import scan
 
-        assert sum(len(s.source) for s in scan_batch) < POOL_MIN_SOURCE_BYTES
-        serial, _ = extract_feature_rows(scan_batch, workers=1)
-        rows, errors = extract_feature_rows(scan_batch, workers=2)
+        assert sum(len(s.source) for s in scan_batch) < scan.POOL_MIN_SOURCE_BYTES
+        serial, _ = scan.extract_feature_rows(scan_batch, workers=1)
+        rows, errors = scan.extract_feature_rows(scan_batch, workers=2)
         assert pool_constructions == []
         assert not errors and sorted(rows) == sorted(serial)
         for index, row in serial.items():
             for expected, got in zip(row, rows[index]):
                 assert got.tobytes() == expected.tobytes()
+        # The fixture does see the pool once the threshold is met, so the
+        # empty list above is not vacuous.
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)
+        scan.extract_feature_rows(scan_batch, workers=2)
+        assert len(pool_constructions) == 1
+
+
+class TestFeatureRowStream:
+    def test_rows_stream_in_input_order_around_store_hits(
+        self, scan_batch, tmp_path, monkeypatch, pool_constructions
+    ):
+        from repro.engine import scan
+        from repro.engine.feature_store import FeatureStore
+
+        serial, _ = scan.extract_feature_rows(scan_batch, workers=1)
+        store = FeatureStore(tmp_path / "features")
+        scan.extract_feature_rows(scan_batch[::2], workers=1, store=store)
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
+        streamed = list(scan.iter_feature_rows(scan_batch, workers=2, store=store))
+        assert len(pool_constructions) == 1
+        assert [index for index, _, _ in streamed] == list(range(len(scan_batch)))
+        for index, row, error in streamed:
+            assert error is None
+            for expected, got in zip(serial[index], row):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_serial_stream_extracts_design_by_design(self, scan_batch, monkeypatch):
+        from repro.engine import scan
+
+        original = scan._extract_worker
+        calls = []
+
+        def extract(task):
+            calls.append(task[0])
+            return original(task)
+
+        monkeypatch.setattr(scan, "_extract_worker", extract)
+        stream = scan.iter_feature_rows(scan_batch, workers=1)
+        next(stream)
+        next(stream)
+        assert calls == [0, 1]  # a consumer gets each row before the next is extracted
+        stream.close()
+
+    def test_on_wait_is_called_through_a_long_wait(
+        self, scan_batch, monkeypatch, pool_constructions
+    ):
+        from repro import faults
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
+        monkeypatch.delenv(faults.FAILPOINTS_ENV, raising=False)
+        calls = []
+
+        def on_wait():
+            calls.append(time.monotonic())
+            return 0.05
+
+        faults.configure("extract.worker.body=delay:500")  # fork-started workers inherit it
+        try:
+            rows = list(scan.iter_feature_rows(scan_batch, workers=2, on_wait=on_wait))
+        finally:
+            faults.configure(None)
+        assert [index for index, _, _ in rows] == list(range(len(scan_batch)))
+        assert len(pool_constructions) == 1
+        # The first chunk is out for at least 500 ms; a 50 ms pause means
+        # several calls during that wait alone.
+        assert len(calls) >= 4
+        assert all(b - a >= 0.04 for a, b in zip(calls, calls[1:4]))
+
+    def test_consumer_error_mid_stream_leaves_no_pool_worker(
+        self, scan_batch, monkeypatch, pool_constructions
+    ):
+        import multiprocessing
+
+        from repro.engine import scan
+
+        monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
+
+        def consume():
+            for _ in scan.iter_feature_rows(scan_batch, workers=2):
+                raise RuntimeError("consumer gave up")
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="consumer gave up"):
+            consume()
+        assert len(pool_constructions) == 1
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestScanCache:
@@ -260,6 +399,23 @@ class TestSourceCollection:
         collected = collect_sources([target, tmp_path])
         assert [s.path for s in collected] == [str(target)]
 
+    def test_crlf_file_keeps_its_universal_newline_hash(self, tmp_path):
+        text = "module crlf (a, y);\n  input a;\n  output y;\n  assign y = a;\nendmodule\n"
+        (tmp_path / "crlf.v").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        (collected,) = collect_sources([tmp_path])
+        assert collected.source == text
+        assert collected.sha256 == hash_source(text)
+
+    def test_undecodable_bytes_are_replaced_not_fatal(self, tmp_path, monkeypatch):
+        # Decoding ignores the locale: records must not depend on LANG.
+        monkeypatch.setenv("LANG", "C")
+        monkeypatch.setenv("LC_ALL", "C")
+        (tmp_path / "latin1.v").write_bytes(b"// Autor: Jos\xe9\nmodule m; endmodule\n")
+        (tmp_path / "utf8.v").write_bytes("// Autor: Jos\u00e9\n".encode("utf-8"))
+        latin1, utf8 = collect_sources([tmp_path])
+        assert latin1.source == "// Autor: Jos\ufffd\nmodule m; endmodule\n"
+        assert utf8.source == "// Autor: Jos\u00e9\n"
+
 
 class TestReportsAndRecords:
     def test_report_json_round_trip(self, detector, scan_batch):
@@ -289,7 +445,7 @@ class TestReportsAndRecords:
         monkeypatch.setattr(scan, "POOL_MIN_SOURCE_BYTES", 0)  # the batch is small
         serial = ScanEngine(detector).scan_sources(scan_batch, workers=1)
         pooled = ScanEngine(detector).scan_sources(scan_batch, workers=2)
-        assert pool_constructions
+        assert len(pool_constructions) == 1
         for a, b in zip(serial.records, pooled.records):
             assert a.decision.p_value_trojan_infected == b.decision.p_value_trojan_infected
 

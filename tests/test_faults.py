@@ -52,17 +52,17 @@ class TestParseSpec:
     def test_multiple_entries_with_options(self):
         table = parse_spec(
             "cache.flush.io=error,p=0.5,n=3; features.shard.read=corrupt ;"
-            "scheduler.worker.body=kill"
+            "extract.worker.body=kill"
         )
         assert set(table) == {
             "cache.flush.io",
             "features.shard.read",
-            "scheduler.worker.body",
+            "extract.worker.body",
         }
         assert table["cache.flush.io"].probability == 0.5
         assert table["cache.flush.io"].budget == 3
         assert table["features.shard.read"].action == "corrupt"
-        assert table["scheduler.worker.body"].action == "kill"
+        assert table["extract.worker.body"].action == "kill"
 
     def test_delay_takes_milliseconds(self):
         table = parse_spec("serve.dispatch=delay:25")

@@ -229,15 +229,14 @@ class TestConcurrentWriters:
         feature_dir = tmp_path / "features"
         reports = []
         for fingerprint in ("fp-one", "fp-two"):
-            with ScanScheduler(
-                model=detector,
+            engine = ScanEngine(
+                detector,
                 fingerprint=fingerprint,
                 cache=ScanCache(tmp_path / "cache", fingerprint),
-                feature_store_dir=feature_dir,
-                jobs=1,
-                shard_size=4,
-            ) as scheduler:
-                reports.append(scheduler.scan_sources(scan_batch))
+                feature_store=FeatureStore(feature_dir),
+            )
+            scheduler = ScanScheduler(engine, shard_size=4)
+            reports.append(scheduler.scan_sources(scan_batch, workers=1))
         assert reports[0].n_feature_hits == 0
         assert reports[1].n_feature_hits == len(scan_batch)
         first = [r.to_dict() for r in reports[0].records]

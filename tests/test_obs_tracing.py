@@ -43,17 +43,6 @@ def test_explicit_parent_id_wins():
     assert detached.parent_id == "elsewhere"
 
 
-def test_span_ids_carry_the_prefix():
-    """id_prefix namespaces ids so merged worker spans stay unique."""
-    tracer = Tracer(trace_id="t", id_prefix="shard3-")
-    with trace_span(tracer, "a"):
-        pass
-    with trace_span(tracer, "b"):
-        pass
-    ids = [s["span_id"] for s in tracer.export()]
-    assert ids == ["shard3-0001", "shard3-0002"]
-
-
 def test_exception_is_annotated_and_propagates():
     """A raising block records the error class and re-raises."""
     tracer = Tracer(trace_id="t")
@@ -89,18 +78,6 @@ def test_threads_have_independent_stacks():
         thread.start()
         thread.join()
     assert seen["parent"] is None
-
-
-def test_adopt_rehomes_trace_id():
-    """Worker spans merge onto the parent tracer's trace_id."""
-    worker = Tracer(trace_id="worker", id_prefix="s0-")
-    with trace_span(worker, "shard"):
-        pass
-    parent = Tracer(trace_id="scan")
-    parent.adopt(worker.export())
-    (span,) = parent.export()
-    assert span["trace_id"] == "scan"
-    assert span["span_id"] == "s0-0001"
 
 
 def test_write_jsonl_round_trip(tmp_path):

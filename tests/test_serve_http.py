@@ -98,6 +98,13 @@ class TestScanEndpoint:
         assert response["n_designs"] == 2
         assert all(r["source_path"] for r in response["records"])
 
+    def test_server_side_non_utf8_file_is_scanned(self, client, corpus, tmp_path):
+        (tmp_path / "latin1.v").write_bytes(
+            b"// Autor: Jos\xe9\n" + corpus[0].source.encode("utf-8")
+        )
+        response = client.scan(paths=[str(tmp_path)])
+        assert response["n_designs"] == 1 and response["n_errors"] == 0
+
     def test_unparseable_design_gets_error_record(self, client):
         response = client.scan_texts([("broken", "module broken (x; endmodule")])
         assert response["n_errors"] == 1

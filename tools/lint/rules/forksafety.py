@@ -1,6 +1,6 @@
 """R6 — fork/thread safety of worker entry points.
 
-The scan scheduler fans work out to pool processes and helper threads.
+The scan engine fans work out to pool processes and helper threads.
 A worker function that mutates module-level state is a correctness trap
 twice over: under ``fork`` the mutation silently diverges from the
 parent (and from every sibling), and under threads it races.  The rule:
@@ -14,11 +14,11 @@ parent (and from every sibling), and under threads it races.  The rule:
    name, and in-place mutation (mutator method calls, subscript stores)
    of module-level mutable containers.
 
-The sanctioned per-process-singleton pattern (a pool *initializer*
-installing ``_WORKER_ENGINE`` once per worker process) still matches
-rule mechanics — it is module state mutated from a worker — and is
-expected to carry a waiver explaining why it is safe, keeping the
-pattern's justification in version control.
+A per-process-singleton pattern (a pool *initializer* installing a
+module-level object once per worker process) still matches rule
+mechanics — it is module state mutated from a worker — and is expected
+to carry a waiver explaining why it is safe, keeping the pattern's
+justification in version control.
 """
 
 from __future__ import annotations
